@@ -49,6 +49,7 @@ from .solver import (
     Inequality,
     RootedForest,
     SolveResult,
+    SolverInvariantError,
     VerifyResult,
     apply_exchange,
     build_witness,
@@ -80,6 +81,7 @@ __all__ = [
     "RootedForest",
     "SequenceError",
     "SolveResult",
+    "SolverInvariantError",
     "VerifyResult",
     "apply_exchange",
     "build_extremal",

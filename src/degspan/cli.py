@@ -15,7 +15,6 @@ from .condition import check_condition
 from .extremal import build_extremal, extremal_worst_sum
 from .graph import (
     LabelledGraph,
-    min_nonadjacent_degree_sum,
     parse_graph,
     random_condition_graph,
     serialize_edge_list,
@@ -23,10 +22,19 @@ from .graph import (
 )
 from .oracle import DEFAULT_BUDGET, OracleBudgetError, count_trees, oracle_count, oracle_find
 from .sequences import DegreeSequence, parse_sequence_literal, random_degree_sequence, realize_tree
-from .solver import find_spanning_tree, verify_tree
+from .solver import SolverInvariantError, find_spanning_tree, verify_tree
 from .tree import LabelledTree
 
 __all__ = ["main", "entrypoint", "run_batch", "BatchSummary"]
+
+
+@dataclass(frozen=True)
+class Report:
+    """One subcommand's result: its JSON payload, its text form and its exit code."""
+
+    payload: dict[str, Any]
+    text: str
+    code: int
 
 
 def _load_graph(path: str) -> LabelledGraph:
@@ -39,120 +47,98 @@ def _load_sequence(source: str) -> DegreeSequence:
     return parse_sequence_literal(source)
 
 
-def _emit_json(obj: dict[str, Any]) -> None:
-    print(json.dumps(obj, indent=2))
-
-
 def _tree_json(t: LabelledTree) -> dict[str, Any]:
     return {"n": t.n, "edges": [list(e) for e in t.edges]}
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> Report:
     g = _load_graph(args.graph)
     seq = _load_sequence(args.seq)
     result = find_spanning_tree(g, seq)
-    if result.ok:
-        assert result.tree is not None
-        if not verify_tree(g, result.tree, seq):
-            raise RuntimeError("internal error: solver emitted an invalid tree")
-        if args.format == "json":
-            _emit_json(
-                {
-                    "status": "found",
-                    **_tree_json(result.tree),
-                    "exchanges": [s.to_json_dict() for s in result.steps],
-                }
-            )
-        else:
-            print(serialize_edge_list(result.tree.n, result.tree.edges), end="")
-        return 0
+    t = result.tree
+    if t is not None:
+        outcome = verify_tree(g, t, seq)
+        if not outcome:
+            raise SolverInvariantError(f"solver emitted an invalid tree: {outcome.reason}")
+        payload = {
+            "status": "found",
+            **_tree_json(t),
+            "exchanges": [s.to_json_dict() for s in result.steps],
+        }
+        return Report(payload, serialize_edge_list(t.n, t.edges), 0)
     w = result.witness
-    assert w is not None
-    if args.format == "json":
-        _emit_json({"status": "stalled", "witness": w.to_json_dict()})
-    else:
-        final = w.chain[-1]
-        print(f"stalled: no exchange at missing pair ({w.u}, {w.v})")
-        print(f"component sizes: {w.size_u} + {w.size_v} = {w.size_u + w.size_v}")
-        print(
-            f"counts: hooks_u={w.hooks_u} bridges_u={w.bridges_u}"
-            f" hooks_v={w.hooks_v} bridges_v={w.bridges_v}"
-        )
-        print(
-            f"        u_nbrs_same={w.u_nbrs_same} u_nbrs_other={w.u_nbrs_other}"
-            f" v_nbrs_same={w.v_nbrs_same} v_nbrs_other={w.v_nbrs_other}"
-        )
-        print(f"deg(u)+deg(v) = {w.degree_sum}; {final.label}: {final.lhs} <= {final.rhs}")
-    return 1
+    final = w.chain[-1]
+    text = (
+        f"stalled: no exchange at missing pair ({w.u}, {w.v})\n"
+        f"component sizes: {w.size_u} + {w.size_v} = {w.size_u + w.size_v}\n"
+        f"counts: hooks_u={w.hooks_u} bridges_u={w.bridges_u}"
+        f" hooks_v={w.hooks_v} bridges_v={w.bridges_v}\n"
+        f"        u_nbrs_same={w.u_nbrs_same} u_nbrs_other={w.u_nbrs_other}"
+        f" v_nbrs_same={w.v_nbrs_same} v_nbrs_other={w.v_nbrs_other}\n"
+        f"deg(u)+deg(v) = {w.degree_sum}; {final.label}: {final.lhs} <= {final.rhs}\n"
+    )
+    return Report({"status": "stalled", "witness": w.to_json_dict()}, text, 1)
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> Report:
     g = _load_graph(args.graph)
     report = check_condition(g, args.r)
-    if args.format == "json":
-        _emit_json(report.to_json_dict())
+    if report.worst_pair is None:
+        worst = "none (complete graph)"
     else:
-        print(f"n={report.n} r={report.r} threshold={report.threshold}")
-        if report.worst_pair is None:
-            print("worst pair: none (complete graph)")
-        else:
-            u, v, s = report.worst_pair
-            print(f"worst pair: ({u}, {v}) sum {s}")
-        print(f"condition: {'satisfied' if report.satisfied else 'NOT satisfied'}")
-    return 0 if report.satisfied else 1
+        u, v, s = report.worst_pair
+        worst = f"({u}, {v}) sum {s}"
+    text = (
+        f"n={report.n} r={report.r} threshold={report.threshold}\n"
+        f"worst pair: {worst}\n"
+        f"condition: {'satisfied' if report.satisfied else 'NOT satisfied'}\n"
+    )
+    return Report(report.to_json_dict(), text, 0 if report.satisfied else 1)
 
 
-def _cmd_realize(args: argparse.Namespace) -> int:
-    seq = _load_sequence(args.seq)
-    t = realize_tree(seq)
-    if args.format == "json":
-        _emit_json(_tree_json(t))
-    else:
-        print(serialize_edge_list(t.n, t.edges), end="")
-    return 0
+def _cmd_realize(args: argparse.Namespace) -> Report:
+    t = realize_tree(_load_sequence(args.seq))
+    return Report(_tree_json(t), serialize_edge_list(t.n, t.edges), 0)
 
 
-def _cmd_oracle_find(args: argparse.Namespace) -> int:
+def _cmd_oracle_find(args: argparse.Namespace) -> Report:
     g = _load_graph(args.graph)
     seq = _load_sequence(args.seq)
     total = count_trees(seq)
     tree = oracle_find(g, seq, budget=args.budget)
-    if args.format == "json":
-        _emit_json(
-            {
-                "total_candidates": total,
-                "first_tree": _tree_json(tree) if tree is not None else None,
-            }
-        )
-    elif tree is not None:
-        print(serialize_edge_list(tree.n, tree.edges), end="")
-    else:
-        print(f"none of the {total} candidate trees is contained in the graph")
-    return 0 if tree is not None else 1
+    if tree is None:
+        text = f"none of the {total} candidate trees is contained in the graph\n"
+        return Report({"total_candidates": total, "first_tree": None}, text, 1)
+    payload = {"total_candidates": total, "first_tree": _tree_json(tree)}
+    return Report(payload, serialize_edge_list(tree.n, tree.edges), 0)
 
 
-def _cmd_oracle_count(args: argparse.Namespace) -> int:
+def _cmd_oracle_count(args: argparse.Namespace) -> Report:
     g = _load_graph(args.graph)
     seq = _load_sequence(args.seq)
     total = count_trees(seq)
     contained = oracle_count(g, seq, budget=args.budget)
-    if args.format == "json":
-        _emit_json({"total_candidates": total, "contained_count": contained})
-    else:
-        print(f"{contained} of {total} candidate trees contained in the graph")
-    return 0 if contained > 0 else 1
+    return Report(
+        {"total_candidates": total, "contained_count": contained},
+        f"{contained} of {total} candidate trees contained in the graph\n",
+        0 if contained > 0 else 1,
+    )
 
 
-def _cmd_extremal(args: argparse.Namespace) -> int:
+def _cmd_extremal(args: argparse.Namespace) -> Report:
     g, seq = build_extremal(args.k, args.r)
-    seq_literal = ",".join(str(d) for d in seq.degrees)
-    verification: dict[str, Any] | None = None
+    payload: dict[str, Any] = {
+        "k": args.k,
+        "r": args.r,
+        "n": g.n,
+        "edges": [list(e) for e in g.edges],
+        "sequence": list(seq.degrees),
+    }
+    text = serialize_graph(g) + f"# sequence: {','.join(str(d) for d in seq.degrees)}\n"
     ok = True
     if args.verify:
         report = check_condition(g, args.r)
-        worst = min_nonadjacent_degree_sum(g)
-        assert worst is not None
-        worst_sum = worst[1]
+        worst_sum = report.worst_pair[2]  # the X-Y pairs are missing, so never None
         formula = extremal_worst_sum(args.k, args.r)
         gap = report.threshold - worst_sum
         oracle_result: int | None = None
@@ -173,24 +159,9 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
             "oracle_count": oracle_result,
             "ok": ok,
         }
-    if args.format == "json":
-        payload: dict[str, Any] = {
-            "k": args.k,
-            "r": args.r,
-            "n": g.n,
-            "edges": [list(e) for e in g.edges],
-            "sequence": list(seq.degrees),
-        }
-        if verification is not None:
-            payload["verification"] = verification
-        _emit_json(payload)
-    else:
-        print(serialize_graph(g), end="")
-        print(f"# sequence: {seq_literal}")
-        if verification is not None:
-            for key, value in verification.items():
-                print(f"# {key}: {value}")
-    return 0 if ok else 1
+        payload["verification"] = verification
+        text += "".join(f"# {key}: {value}\n" for key, value in verification.items())
+    return Report(payload, text, 0 if ok else 1)
 
 
 @dataclass(frozen=True)
@@ -244,7 +215,6 @@ def run_batch(
             failures.append(f"instance {i} (n={n}, r={r}): stalled")
             continue
         solved += 1
-        assert result.tree is not None
         outcome = verify_tree(g, result.tree, seq)
         if outcome:
             verified += 1
@@ -264,25 +234,16 @@ def run_batch(
     )
 
 
-def _cmd_batch(args: argparse.Namespace) -> int:
+def _cmd_batch(args: argparse.Namespace) -> Report:
     summary = run_batch(
         args.n_min, args.n_max, args.r, args.count, base_seed=args.seed, verbose=args.verbose
     )
-    if args.format == "json":
-        _emit_json(summary.to_json_dict())
-    else:
-        print(
-            f"instances: {summary.instances} solved: {summary.solved}"
-            f" verified: {summary.verified} max_exchanges: {summary.max_exchanges}"
-            f" failures: {len(summary.failures)}"
-        )
-        for line in summary.failures:
-            print(f"  {line}")
-    return 0 if not summary.failures else 1
-
-
-def _add_format(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--format", choices=("text", "json"), default="text")
+    text = (
+        f"instances: {summary.instances} solved: {summary.solved}"
+        f" verified: {summary.verified} max_exchanges: {summary.max_exchanges}"
+        f" failures: {len(summary.failures)}\n"
+    ) + "".join(f"  {line}\n" for line in summary.failures)
+    return Report(summary.to_json_dict(), text, 0 if not summary.failures else 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -295,32 +256,27 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="find a spanning tree with the given degree sequence")
     solve.add_argument("--graph", required=True, help="graph file path")
     solve.add_argument("--seq", required=True, help="degree literal '3,1,1,1' or @FILE")
-    _add_format(solve)
     solve.set_defaults(func=_cmd_solve)
 
     check = sub.add_parser("check", help="evaluate the degree-sum condition")
     check.add_argument("--graph", required=True, help="graph file path")
     check.add_argument("--r", type=int, required=True, help="degree cap parameter (>= 2)")
-    _add_format(check)
     check.set_defaults(func=_cmd_check)
 
     realize = sub.add_parser("realize", help="canonical tree for a degree sequence")
     realize.add_argument("--seq", required=True, help="degree literal or @FILE")
-    _add_format(realize)
     realize.set_defaults(func=_cmd_realize)
 
     ofind = sub.add_parser("oracle-find", help="exhaustive search for a contained tree")
     ofind.add_argument("--graph", required=True)
     ofind.add_argument("--seq", required=True)
     ofind.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    _add_format(ofind)
     ofind.set_defaults(func=_cmd_oracle_find)
 
     ocount = sub.add_parser("oracle-count", help="exhaustive count of contained trees")
     ocount.add_argument("--graph", required=True)
     ocount.add_argument("--seq", required=True)
     ocount.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    _add_format(ocount)
     ocount.set_defaults(func=_cmd_oracle_count)
 
     extremal = sub.add_parser("extremal", help="emit a tight example family member")
@@ -328,7 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
     extremal.add_argument("--r", type=int, default=3, help="degree cap (>= 3, default 3)")
     extremal.add_argument("--verify", action="store_true", help="run the tightness checks")
     extremal.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    _add_format(extremal)
     extremal.set_defaults(func=_cmd_extremal)
 
     batch = sub.add_parser("batch", help="randomized solve/verify ensemble")
@@ -338,27 +293,37 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--count", type=int, required=True, help="number of instances")
     batch.add_argument("--seed", type=int, default=0)
     batch.add_argument("--verbose", action="store_true")
-    _add_format(batch)
     batch.set_defaults(func=_cmd_batch)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; 0 found/ok, 1 negative verdict, 2 bad input."""
+    """Run one subcommand and write its result to stdout.
+
+    Exit codes: 0 found/ok, 1 negative verdict, 2 bad input, 3 a solver
+    invariant failed (a bug, reported instead of a traceback).
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
-    except OracleBudgetError as exc:
+        report = args.func(args)
+    except SolverInvariantError as exc:
+        print(f"error: solver invariant: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, OSError, OracleBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.format == "json":
+        print(json.dumps(report.payload, indent=2))
+    else:
+        print(report.text, end="")
+    return report.code
 
 
 def entrypoint() -> None:

@@ -17,6 +17,7 @@ __all__ = [
     "serialize_edge_list",
     "serialize_graph",
     "min_nonadjacent_degree_sum",
+    "normalized_edge",
     "random_condition_graph",
 ]
 
@@ -29,7 +30,8 @@ class GraphParseError(ValueError):
         self.line = line
 
 
-def _normalized(u: int, v: int) -> Edge:
+def normalized_edge(u: int, v: int) -> Edge:
+    """The pair with its smaller endpoint first."""
     return (u, v) if u < v else (v, u)
 
 
@@ -60,7 +62,7 @@ class LabelledGraph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            edge_set.add(_normalized(u, v))
+            edge_set.add(normalized_edge(u, v))
         adjacency: list[list[int]] = [[] for _ in range(n)]
         for u, v in edge_set:
             adjacency[u].append(v)
@@ -81,10 +83,6 @@ class LabelledGraph:
 
     def degree_vector(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.adjacency)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return self.adjacency[v]
 
     def are_adjacent(self, u: int, v: int) -> bool:
         """True iff {u, v} is an edge; always False for u == v."""
@@ -141,7 +139,7 @@ def parse_graph(text: str) -> LabelledGraph:
 
 def serialize_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> str:
     """Canonical text form: vertex count, then sorted normalized edges."""
-    pairs = sorted(_normalized(u, v) for u, v in edges)
+    pairs = sorted(normalized_edge(u, v) for u, v in edges)
     lines = [str(n)] + [f"{u} {v}" for u, v in pairs]
     return "\n".join(lines) + "\n"
 

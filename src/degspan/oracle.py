@@ -9,11 +9,10 @@ then a per-edge check, aborted at the first missing edge.
 
 from __future__ import annotations
 
-import heapq
 from math import factorial, prod
 
 from .graph import LabelledGraph
-from .sequences import DegreeSequence, canonical_word, prufer_decode
+from .sequences import DegreeSequence, canonical_word, prufer_decode, prufer_edges
 from .tree import LabelledTree
 
 __all__ = [
@@ -77,31 +76,6 @@ def iter_degree_trees(seq: DegreeSequence):
         yield prufer_decode(word, seq.n)
 
 
-def _decode_if_contained(word: list[int], n: int, g: LabelledGraph) -> LabelledTree | None:
-    # Same smallest-leaf decode as prufer_decode, abandoning the word as
-    # soon as an edge outside the graph appears.
-    degree = [1] * n
-    for w in word:
-        degree[w] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges: list[tuple[int, int]] = []
-    for w in word:
-        leaf = heapq.heappop(leaves)
-        if not g.are_adjacent(leaf, w):
-            return None
-        edges.append((leaf, w))
-        degree[w] -= 1
-        if degree[w] == 1:
-            heapq.heappush(leaves, w)
-    a = heapq.heappop(leaves)
-    b = heapq.heappop(leaves)
-    if not g.are_adjacent(a, b):
-        return None
-    edges.append((a, b))
-    return LabelledTree.from_edges(n, edges)
-
-
 def _check_instance(g: LabelledGraph, seq: DegreeSequence, budget: int) -> int:
     if g.n != seq.n:
         raise ValueError(f"graph order {g.n} != sequence length {seq.n}")
@@ -121,9 +95,9 @@ def oracle_find(
     """
     _check_instance(g, seq, budget)
     for word in _iter_words(seq):
-        tree = _decode_if_contained(word, seq.n, g)
-        if tree is not None:
-            return tree
+        edges = prufer_edges(word, seq.n, g.are_adjacent)
+        if edges is not None:
+            return LabelledTree.from_edges(seq.n, edges)
     return None
 
 
@@ -132,6 +106,6 @@ def oracle_count(g: LabelledGraph, seq: DegreeSequence, budget: int = DEFAULT_BU
     _check_instance(g, seq, budget)
     found = 0
     for word in _iter_words(seq):
-        if _decode_if_contained(word, seq.n, g) is not None:
+        if prufer_edges(word, seq.n, g.are_adjacent) is not None:
             found += 1
     return found

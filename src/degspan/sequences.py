@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
+from .graph import Edge
 from .tree import LabelledTree, is_tree
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "parse_sequence_literal",
     "canonical_word",
     "prufer_decode",
+    "prufer_edges",
     "prufer_encode",
     "realize_tree",
     "random_degree_sequence",
@@ -96,34 +98,52 @@ def canonical_word(seq: DegreeSequence) -> tuple[int, ...]:
     return tuple(word)
 
 
-def prufer_decode(word: Sequence[int], n: int) -> LabelledTree:
-    """Unique labelled tree on n vertices whose code is ``word``.
+def prufer_edges(
+    word: Sequence[int], n: int, keep: Callable[[int, int], bool]
+) -> list[Edge] | None:
+    """Edges of the tree coded by ``word``, or None at the first edge ``keep`` rejects.
 
-    Decoding joins the smallest current leaf to each word entry in turn;
-    vertex v ends with degree 1 + multiplicity of v in the word.
+    Decoding joins the smallest current leaf to each word entry in turn
+    and finally joins the last two leaves; vertex v ends with degree
+    1 + multiplicity of v in the word.  Entries must lie in [0, n) and
+    the word must have length n - 2.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if len(word) != n - 2:
-        raise ValueError(f"word length {len(word)} != n - 2 = {n - 2}")
     degree = [1] * n
     for w in word:
-        if not (0 <= w < n):
-            raise ValueError(f"word entry {w} out of range [0, {n})")
         degree[w] += 1
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
-    edges: list[tuple[int, int]] = []
+    edges: list[Edge] = []
     for w in word:
         leaf = heapq.heappop(leaves)
+        if not keep(leaf, w):
+            return None
         edges.append((leaf, w))
         degree[w] -= 1
         if degree[w] == 1:
             heapq.heappush(leaves, w)
     a = heapq.heappop(leaves)
     b = heapq.heappop(leaves)
+    if not keep(a, b):
+        return None
     edges.append((a, b))
-    return LabelledTree.from_edges(n, edges)
+    return edges
+
+
+def _accept_all(u: int, v: int) -> bool:
+    return True
+
+
+def prufer_decode(word: Sequence[int], n: int) -> LabelledTree:
+    """Unique labelled tree on n vertices whose code is ``word``."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if len(word) != n - 2:
+        raise ValueError(f"word length {len(word)} != n - 2 = {n - 2}")
+    for w in word:
+        if not (0 <= w < n):
+            raise ValueError(f"word entry {w} out of range [0, {n})")
+    return LabelledTree.from_edges(n, prufer_edges(word, n, _accept_all))
 
 
 def prufer_encode(tree: LabelledTree) -> tuple[int, ...]:

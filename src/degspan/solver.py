@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from .condition import degree_sum_threshold
-from .graph import Edge, LabelledGraph
+from .graph import Edge, LabelledGraph, normalized_edge
 from .sequences import DegreeSequence, realize_tree
-from .tree import LabelledTree
+from .tree import LabelledTree, tree_defect
 
 __all__ = [
     "RootedForest",
@@ -39,6 +39,7 @@ __all__ = [
     "Inequality",
     "InfeasibilityWitness",
     "SolveResult",
+    "SolverInvariantError",
     "VerifyResult",
     "orient_forest",
     "compute_cut_sets",
@@ -50,8 +51,8 @@ __all__ = [
 ]
 
 
-def _norm(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
+class SolverInvariantError(RuntimeError):
+    """A property the exchange argument guarantees failed: a solver bug."""
 
 
 @dataclass(frozen=True)
@@ -259,7 +260,7 @@ def orient_forest(t: LabelledTree, u: int, v: int) -> RootedForest:
         raise ValueError("input is not a tree: some vertices unreachable from the split")
     size_u = component.count(0)
     return RootedForest(
-        removed_edge=_norm(u, v),
+        removed_edge=normalized_edge(u, v),
         component=tuple(component),
         parent=tuple(parent),
         children=tuple(tuple(sorted(c)) for c in children),
@@ -287,11 +288,11 @@ def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
     bridges_u = frozenset(v_other)
     hooks_v = frozenset(f.parent[y] for y in v_same)
     bridges_v = frozenset(u_other)
-    if not g.are_adjacent(u, v):
-        assert u not in bridges_u and v not in bridges_v
+    if not g.are_adjacent(u, v) and (u in bridges_u or v in bridges_v):
+        raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
 
     candidate: Exchange | None = None
-    drop = _norm(u, v)
+    drop = normalized_edge(u, v)
     both_u = hooks_u & bridges_u
     if both_u:
         w = min(both_u)
@@ -328,10 +329,10 @@ def apply_exchange(t: LabelledTree, x: Exchange) -> LabelledTree:
     reconnect, so the result is again a spanning tree.
     """
     edges = set(t.edges)
-    drop_f = _norm(*x.drop_foreign)
-    drop_t = _norm(*x.drop_tree)
-    add_1 = _norm(*x.add_1)
-    add_2 = _norm(*x.add_2)
+    drop_f = normalized_edge(*x.drop_foreign)
+    drop_t = normalized_edge(*x.drop_tree)
+    add_1 = normalized_edge(*x.add_1)
+    add_2 = normalized_edge(*x.add_2)
     if drop_f not in edges or drop_t not in edges or add_1 in edges or add_2 in edges:
         raise RuntimeError(f"stale exchange {x} against tree {t.edges}")
     edges.remove(drop_f)
@@ -447,7 +448,7 @@ def validate_witness(g: LabelledGraph, w: InfeasibilityWitness) -> bool:
     count matches a fresh computation, and each inequality of the chain
     holds arithmetically.
     """
-    pair = _norm(w.u, w.v)
+    pair = normalized_edge(w.u, w.v)
     if pair not in set(w.tree.edges) or g.are_adjacent(*pair):
         return False
     try:
@@ -498,9 +499,13 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
             witness = build_witness(g, t, f, c, r)
             return SolveResult(tree=None, witness=witness, steps=tuple(steps))
         t = apply_exchange(t, c.candidate)
-        assert t.degree_vector() == seq.degrees
+        if t.degree_vector() != seq.degrees:
+            raise SolverInvariantError(f"exchange {c.candidate} changed the degree vector")
         still_missing = foreign_edges(g, t)
-        assert len(still_missing) < len(missing)
+        if len(still_missing) >= len(missing):
+            raise SolverInvariantError(
+                f"exchange {c.candidate} did not reduce the missing-edge count {len(missing)}"
+            )
         steps.append(ExchangeStep(exchange=c.candidate, phi_after=len(still_missing)))
         missing = still_missing
     return SolveResult(tree=t, witness=None, steps=tuple(steps))
@@ -519,21 +524,9 @@ def verify_tree(g: LabelledGraph, t: LabelledTree, seq: DegreeSequence) -> Verif
     for e in t.edges:
         if not g.are_adjacent(*e):
             return VerifyResult(False, f"edge {e} not in graph")
-    if len(t.edges) != t.n - 1:
-        return VerifyResult(False, f"edge count {len(t.edges)} != n - 1 = {t.n - 1}")
-    parent = list(range(t.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in t.edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return VerifyResult(False, f"not a tree: cycle through edge ({a}, {b})")
-        parent[ra] = rb
+    defect = tree_defect(t)
+    if defect is not None:
+        return VerifyResult(False, defect)
     deg = t.degree_vector()
     for i, (have, want) in enumerate(zip(deg, seq.degrees)):
         if have != want:

@@ -5,9 +5,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .graph import Edge
+from .graph import Edge, normalized_edge
 
-__all__ = ["LabelledTree", "is_tree"]
+__all__ = ["LabelledTree", "is_tree", "tree_defect"]
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class LabelledTree:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
+            e = normalized_edge(u, v)
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
@@ -53,15 +53,11 @@ class LabelledTree:
             adj[v].add(u)
         return adj
 
-    def has_edge(self, u: int, v: int) -> bool:
-        e = (u, v) if u < v else (v, u)
-        return e in set(self.edges)
 
-
-def is_tree(t: LabelledTree) -> bool:
-    """True iff t is connected and acyclic on all n vertices."""
+def tree_defect(t: LabelledTree) -> str | None:
+    """Why t is not connected and acyclic on all n vertices, or None if it is."""
     if len(t.edges) != t.n - 1:
-        return False
+        return f"edge count {len(t.edges)} != n - 1 = {t.n - 1}"
     parent = list(range(t.n))
 
     def find(x: int) -> int:
@@ -73,6 +69,11 @@ def is_tree(t: LabelledTree) -> bool:
     for u, v in t.edges:
         ru, rv = find(u), find(v)
         if ru == rv:
-            return False
+            return f"not a tree: cycle through edge ({u}, {v})"
         parent[ru] = rv
-    return True
+    return None
+
+
+def is_tree(t: LabelledTree) -> bool:
+    """True iff t is connected and acyclic on all n vertices."""
+    return tree_defect(t) is None

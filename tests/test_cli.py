@@ -3,9 +3,18 @@ import json
 import jsonschema
 import pytest
 
-from degspan import parse_graph, serialize_graph, validate_degree_sequence, verify_tree
+import degspan.cli
+import degspan.solver
+from degspan import (
+    LabelledTree,
+    VerifyResult,
+    parse_graph,
+    serialize_graph,
+    validate_degree_sequence,
+    verify_tree,
+)
 from degspan.cli import main, run_batch
-from support import complete_graph
+from support import complete_graph, cycle_graph
 
 EDGE = {
     "type": "array",
@@ -194,6 +203,20 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--graph", "/nope.txt", "--seq", "1,1")
         assert code == 2
 
+    @pytest.mark.parametrize("module, attr, fake", [
+        (degspan.solver, "apply_exchange",
+         lambda t, x: LabelledTree.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])),
+        (degspan.cli, "verify_tree", lambda g, t, seq: VerifyResult(False, "forced")),
+    ])
+    def test_broken_invariant_exits_3(self, capsys, tmp_path, monkeypatch, module, attr, fake):
+        path = tmp_path / "c5.txt"
+        path.write_text(serialize_graph(cycle_graph(5)))
+        monkeypatch.setattr(module, attr, fake)
+        code, out, err = run_cli(capsys, "solve", "--graph", str(path), "--seq", "2,2,2,1,1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: solver invariant:")
+
     def test_seq_from_file(self, capsys, k4_file, tmp_path):
         seq_path = tmp_path / "seq.txt"
         seq_path.write_text("2,2,1,1\n")
@@ -260,8 +283,6 @@ class TestOracleCommands:
         g = complete_graph(4)
         seq = validate_degree_sequence([2, 2, 1, 1])
         edges = [tuple(e) for e in payload["first_tree"]["edges"]]
-        from degspan import LabelledTree
-
         assert verify_tree(g, LabelledTree.from_edges(4, edges), seq)
 
     def test_count_json(self, capsys, g1_file):

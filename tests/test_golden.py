@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -98,4 +97,4 @@ def record() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(record())
+    record()

@@ -4,9 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import degspan.solver
 from degspan import (
     LabelledGraph,
     LabelledTree,
+    SolverInvariantError,
     apply_exchange,
     build_extremal,
     build_witness,
@@ -189,6 +191,13 @@ class TestFindSpanningTree:
         res = find_spanning_tree(g, seq)
         assert not res.ok
         assert validate_witness(g, res.witness)
+
+    def test_degree_change_raises_invariant_error(self, monkeypatch):
+        star = LabelledTree.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+        monkeypatch.setattr(degspan.solver, "apply_exchange", lambda t, x: star)
+        seq = validate_degree_sequence([2, 2, 2, 1, 1])
+        with pytest.raises(SolverInvariantError, match="degree vector"):
+            find_spanning_tree(cycle_graph(5), seq)
 
     def test_two_vertices(self):
         seq = validate_degree_sequence([1, 1])
