@@ -200,6 +200,8 @@ def run_batch(
     """
     if n_min > n_max:
         raise ValueError(f"empty order range [{n_min}, {n_max}]")
+    if count < 0:
+        raise ValueError(f"instance count must be non-negative, got {count}")
     solved = 0
     verified = 0
     max_exchanges = 0

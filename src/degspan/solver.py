@@ -18,11 +18,17 @@ component sizes bounds deg(u) + deg(v) away from the degree-sum threshold;
 the recorded counts form an InfeasibilityWitness.  Under the threshold
 condition that bound is contradictory, which is exactly why the solver
 cannot stall there.
+
+``find_spanning_tree`` holds the tree as one mutable adjacency that each
+exchange edits at its four endpoints, so an exchange costs O(n).  The step
+functions ``orient_forest``, ``compute_cut_sets`` and ``apply_exchange``
+take the same steps on immutable LabelledTree values; witnesses and their
+validation are built from them.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -233,6 +239,28 @@ def foreign_edges(g: LabelledGraph, t: LabelledTree) -> tuple[Edge, ...]:
     return tuple(e for e in t.edges if not g.are_adjacent(*e))
 
 
+def _split(adj: list[set[int]], u: int, v: int) -> tuple[list[int], list[int | None]]:
+    """Side labels and BFS parents of the tree adjacency ``adj`` cut at edge (u, v).
+
+    ``adj`` still holds the edge and is only read.  A vertex that neither
+    root reaches keeps the label -1.
+    """
+    component = [-1] * len(adj)
+    parent: list[int | None] = [None] * len(adj)
+    component[u] = 0
+    component[v] = 1
+    for root in (u, v):
+        label = component[root]
+        queue = [root]
+        for x in queue:
+            for y in adj[x]:
+                if component[y] == -1:
+                    component[y] = label
+                    parent[y] = x
+                    queue.append(y)
+    return component, parent
+
+
 def orient_forest(t: LabelledTree, u: int, v: int) -> RootedForest:
     """Remove tree edge (u, v) and orient both components away from u and v."""
     if not (0 <= u < t.n and 0 <= v < t.n):
@@ -240,63 +268,52 @@ def orient_forest(t: LabelledTree, u: int, v: int) -> RootedForest:
     adj = t.adjacency_sets()
     if v not in adj[u]:
         raise ValueError(f"({u}, {v}) is not a tree edge")
-    adj[u].discard(v)
-    adj[v].discard(u)
-    component = [-1] * t.n
-    parent: list[int | None] = [None] * t.n
-    children: list[list[int]] = [[] for _ in range(t.n)]
-    for root, label in ((u, 0), (v, 1)):
-        component[root] = label
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if component[y] == -1:
-                    component[y] = label
-                    parent[y] = x
-                    children[x].append(y)
-                    queue.append(y)
-    if any(c == -1 for c in component):
+    component, parent = _split(adj, u, v)
+    if -1 in component:
         raise ValueError("input is not a tree: some vertices unreachable from the split")
+    children: list[list[int]] = [[] for _ in range(t.n)]
+    for y, p in enumerate(parent):
+        if p is not None:
+            children[p].append(y)
     size_u = component.count(0)
     return RootedForest(
         removed_edge=normalized_edge(u, v),
         component=tuple(component),
         parent=tuple(parent),
-        children=tuple(tuple(sorted(c)) for c in children),
+        children=tuple(tuple(c) for c in children),
         size_u=size_u,
         size_v=t.n - size_u,
     )
 
 
-def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
-    """Hook/bridge sets of the split plus the first applicable exchange.
-
-    Scans the u side before the v side, and within a side picks the
-    smallest hook-and-bridge vertex w, then the smallest of its children
-    adoptable by the near root.  The roots themselves can be hooks, but
-    never bridges while (u, v) is missing from the graph.
-    """
-    u, v = f.removed_edge
-    comp = f.component
+def _cut_analysis(
+    g: LabelledGraph,
+    u: int,
+    v: int,
+    comp: Sequence[int],
+    parent: Sequence[int | None],
+) -> CutAnalysis:
+    """The hook/bridge selection of ``compute_cut_sets`` on a split given by labels and parents."""
     u_same = [y for y in g.adjacency[u] if comp[y] == 0]
     u_other = [x for x in g.adjacency[u] if comp[x] == 1]
     v_same = [y for y in g.adjacency[v] if comp[y] == 1]
     v_other = [x for x in g.adjacency[v] if comp[x] == 0]
     # y here is never its own root (no loops), so parent[y] is an int
-    hooks_u = frozenset(f.parent[y] for y in u_same)
+    hooks_u = frozenset(parent[y] for y in u_same)
     bridges_u = frozenset(v_other)
-    hooks_v = frozenset(f.parent[y] for y in v_same)
+    hooks_v = frozenset(parent[y] for y in v_same)
     bridges_v = frozenset(u_other)
     if not g.are_adjacent(u, v) and (u in bridges_u or v in bridges_v):
         raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
 
+    # The children of w that the near root can adopt are exactly the near
+    # root's same-side graph neighbours whose parent is w.
     candidate: Exchange | None = None
     drop = normalized_edge(u, v)
     both_u = hooks_u & bridges_u
     if both_u:
         w = min(both_u)
-        y = min(y for y in f.children[w] if g.are_adjacent(u, y))
+        y = min(y for y in u_same if parent[y] == w)
         candidate = Exchange(
             side="u", drop_foreign=drop, drop_tree=(w, y), add_1=(u, y), add_2=(v, w)
         )
@@ -304,7 +321,7 @@ def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
         both_v = hooks_v & bridges_v
         if both_v:
             w = min(both_v)
-            y = min(y for y in f.children[w] if g.are_adjacent(v, y))
+            y = min(y for y in v_same if parent[y] == w)
             candidate = Exchange(
                 side="v", drop_foreign=drop, drop_tree=(w, y), add_1=(v, y), add_2=(u, w)
             )
@@ -321,25 +338,58 @@ def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
     )
 
 
+def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
+    """Hook/bridge sets of the split plus the first applicable exchange.
+
+    Scans the u side before the v side, and within a side picks the
+    smallest hook-and-bridge vertex w, then the smallest of its children
+    adoptable by the near root.  The roots themselves can be hooks, but
+    never bridges while (u, v) is missing from the graph.
+    """
+    return _cut_analysis(g, *f.removed_edge, f.component, f.parent)
+
+
+def _rewire(adj: list[set[int]], x: Exchange) -> None:
+    """Edit the tree adjacency ``adj`` in place along an exchange.
+
+    Raises SolverInvariantError, leaving ``adj`` untouched, when a dropped
+    edge is not in the tree or an added edge already is.
+    """
+    drops = (x.drop_foreign, x.drop_tree)
+    adds = (x.add_1, x.add_2)
+    if not all(0 <= z < len(adj) for e in drops + adds for z in e):
+        raise SolverInvariantError(f"exchange {x} names a vertex outside the tree")
+    for a, b in drops:
+        if b not in adj[a]:
+            raise SolverInvariantError(f"exchange {x} drops ({a}, {b}), not a tree edge")
+    for a, b in adds:
+        if b in adj[a]:
+            raise SolverInvariantError(f"exchange {x} adds ({a}, {b}), already a tree edge")
+    for a, b in drops:
+        adj[a].remove(b)
+        adj[b].remove(a)
+    for a, b in adds:
+        adj[a].add(b)
+        adj[b].add(a)
+
+
+def _tree_of(adj: list[set[int]]) -> LabelledTree:
+    return LabelledTree.from_edges(
+        len(adj), ((a, b) for a, nbrs in enumerate(adj) for b in nbrs if a < b)
+    )
+
+
 def apply_exchange(t: LabelledTree, x: Exchange) -> LabelledTree:
     """Rewire the tree along an exchange; degrees are untouched.
 
     The four endpoints each lose one incident edge and gain one, and the
     dropped split edge separates the components that the two added edges
-    reconnect, so the result is again a spanning tree.
+    reconnect, so the result is again a spanning tree.  A stale exchange,
+    one that does not fit ``t``, raises SolverInvariantError.
     """
-    edges = set(t.edges)
-    drop_f = normalized_edge(*x.drop_foreign)
-    drop_t = normalized_edge(*x.drop_tree)
-    add_1 = normalized_edge(*x.add_1)
-    add_2 = normalized_edge(*x.add_2)
-    if drop_f not in edges or drop_t not in edges or add_1 in edges or add_2 in edges:
-        raise RuntimeError(f"stale exchange {x} against tree {t.edges}")
-    edges.remove(drop_f)
-    edges.remove(drop_t)
-    edges.add(add_1)
-    edges.add(add_2)
-    return LabelledTree.from_edges(t.n, edges)
+    adj = t.adjacency_sets()
+    _rewire(adj, x)
+    return _tree_of(adj)
 
 
 def _witness_chain(
@@ -480,35 +530,45 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
     """Search for a spanning tree of g with the exact degree vector seq.
 
     Starts from the canonical realization and exchanges away missing
-    edges, smallest first, rebuilding the orientation from scratch each
-    round.  Success is guaranteed whenever the graph meets the degree-sum
-    threshold for r = max degree of seq; otherwise the loop still runs to
-    exhaustion and reports the stall witness.
+    edges, smallest first.  The tree lives in one adjacency that each
+    exchange edits at its four endpoints, and the ascending list of missing
+    edges loses the one or two tree edges the exchange drops, so an
+    exchange costs O(n) and the LabelledTree is built once, at the end or
+    at a stall.  Success is guaranteed whenever the graph meets the
+    degree-sum threshold for r = max degree of seq; otherwise the loop
+    still runs to exhaustion and reports the stall witness.
     """
     if g.n != seq.n:
         raise ValueError(f"graph order {g.n} != sequence length {seq.n}")
     r = max(2, seq.max_degree)
     t = realize_tree(seq)
     steps: list[ExchangeStep] = []
-    missing = foreign_edges(g, t)
+    missing = list(foreign_edges(g, t))
+    adj = t.adjacency_sets()
     while missing:
         u, v = missing[0]
-        f = orient_forest(t, u, v)
-        c = compute_cut_sets(g, f)
-        if c.candidate is None:
-            witness = build_witness(g, t, f, c, r)
+        component, parent = _split(adj, u, v)
+        if -1 in component:
+            raise SolverInvariantError(f"vertices unreachable from both ends of ({u}, {v})")
+        x = _cut_analysis(g, u, v, component, parent).candidate
+        if x is None:
+            t = _tree_of(adj)
+            f = orient_forest(t, u, v)
+            witness = build_witness(g, t, f, compute_cut_sets(g, f), r)
             return SolveResult(tree=None, witness=witness, steps=tuple(steps))
-        t = apply_exchange(t, c.candidate)
-        if t.degree_vector() != seq.degrees:
-            raise SolverInvariantError(f"exchange {c.candidate} changed the degree vector")
-        still_missing = foreign_edges(g, t)
-        if len(still_missing) >= len(missing):
-            raise SolverInvariantError(
-                f"exchange {c.candidate} did not reduce the missing-edge count {len(missing)}"
-            )
-        steps.append(ExchangeStep(exchange=c.candidate, phi_after=len(still_missing)))
-        missing = still_missing
-    return SolveResult(tree=t, witness=None, steps=tuple(steps))
+        for a, b in (x.add_1, x.add_2):
+            if not g.are_adjacent(a, b):
+                raise SolverInvariantError(f"exchange {x} adds ({a}, {b}), not a graph edge")
+        _rewire(adj, x)
+        for z in (*x.drop_foreign, *x.drop_tree):
+            if len(adj[z]) != seq.degrees[z]:
+                raise SolverInvariantError(f"exchange {x} changed the degree vector at {z}")
+        del missing[0]
+        drop_tree = normalized_edge(*x.drop_tree)
+        if drop_tree in missing:
+            missing.remove(drop_tree)
+        steps.append(ExchangeStep(exchange=x, phi_after=len(missing)))
+    return SolveResult(tree=_tree_of(adj), witness=None, steps=tuple(steps))
 
 
 def verify_tree(g: LabelledGraph, t: LabelledTree, seq: DegreeSequence) -> VerifyResult:

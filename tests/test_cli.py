@@ -204,8 +204,7 @@ class TestSolve:
         assert code == 2
 
     @pytest.mark.parametrize("module, attr, fake", [
-        (degspan.solver, "apply_exchange",
-         lambda t, x: LabelledTree.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])),
+        (degspan.solver, "_rewire", lambda adj, x: adj[x.add_1[0]].add(x.add_1[1])),
         (degspan.cli, "verify_tree", lambda g, t, seq: VerifyResult(False, "forced")),
     ])
     def test_broken_invariant_exits_3(self, capsys, tmp_path, monkeypatch, module, attr, fake):
@@ -369,6 +368,14 @@ class TestBatch:
         )
         assert code == 0
         assert json.loads(out)["instances"] == 0
+
+    def test_negative_count_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "batch", "--n-min", "8", "--n-max", "9", "--count", "-3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_run_batch_deterministic(self):
         a = run_batch(8, 12, 3, 5, base_seed=3)

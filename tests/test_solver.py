@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -156,7 +157,7 @@ class TestApplyExchange:
         t = LabelledTree.from_edges(4, [(0, 1), (1, 2), (0, 3)])
         c = compute_cut_sets(g, orient_forest(t, 0, 3))
         t2 = apply_exchange(t, c.candidate)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(SolverInvariantError):
             apply_exchange(t2, c.candidate)
 
 
@@ -193,11 +194,37 @@ class TestFindSpanningTree:
         assert validate_witness(g, res.witness)
 
     def test_degree_change_raises_invariant_error(self, monkeypatch):
-        star = LabelledTree.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-        monkeypatch.setattr(degspan.solver, "apply_exchange", lambda t, x: star)
+        # The near root gains the adopted child without the rest of the exchange.
+        monkeypatch.setattr(
+            degspan.solver, "_rewire", lambda adj, x: adj[x.add_1[0]].add(x.add_1[1])
+        )
         seq = validate_degree_sequence([2, 2, 2, 1, 1])
         with pytest.raises(SolverInvariantError, match="degree vector"):
             find_spanning_tree(cycle_graph(5), seq)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"add_2": (3, 1)}, "not a graph edge"),
+        ({"add_1": (0, 1)}, "already a tree edge"),
+        ({"drop_tree": (3, 4)}, "not a tree edge"),
+    ])
+    def test_bad_exchange_raises_invariant_error(self, monkeypatch, change, message):
+        # On C5 the only exchange drops (0, 3) and (2, 4) and adds (0, 4) and (3, 2).
+        select = degspan.solver._cut_analysis
+
+        def tampered(*args):
+            c = select(*args)
+            return dataclasses.replace(c, candidate=dataclasses.replace(c.candidate, **change))
+
+        monkeypatch.setattr(degspan.solver, "_cut_analysis", tampered)
+        with pytest.raises(SolverInvariantError, match=message):
+            find_spanning_tree(cycle_graph(5), validate_degree_sequence([2, 2, 2, 1, 1]))
+
+    def test_disconnected_split_raises_invariant_error(self, monkeypatch):
+        # The right degrees on a triangle plus a separate edge, not a tree.
+        fake = LabelledTree.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+        monkeypatch.setattr(degspan.solver, "realize_tree", lambda seq: fake)
+        with pytest.raises(SolverInvariantError, match="unreachable"):
+            find_spanning_tree(cycle_graph(5), validate_degree_sequence([2, 2, 2, 1, 1]))
 
     def test_two_vertices(self):
         seq = validate_degree_sequence([1, 1])
@@ -254,6 +281,29 @@ class TestFindSpanningTree:
                 phi = new_phi
             assert phi == 0
             assert t == res.tree
+
+    def test_loop_agrees_with_public_steps_off_bound(self):
+        rng = random.Random(5)
+        outcomes = []
+        for _ in range(80):
+            n = rng.randint(6, 12)
+            pairs = itertools.combinations(range(n), 2)
+            g = LabelledGraph.from_edges(n, (e for e in pairs if rng.random() < 0.6))
+            seq = random_degree_sequence(n, 3, rng)
+            res = find_spanning_tree(g, seq)
+            t = realize_tree(seq)
+            for step in res.steps:
+                t = apply_exchange(t, step.exchange)
+            if res.ok:
+                assert t == res.tree
+            else:
+                w = res.witness
+                f = orient_forest(t, w.u, w.v)
+                r = max(2, seq.max_degree)
+                assert build_witness(g, t, f, compute_cut_sets(g, f), r) == w
+                assert validate_witness(g, w)
+            outcomes.append(res.ok)
+        assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
 
 
 class TestGuarantee:
@@ -342,8 +392,6 @@ class TestWitness:
             build_witness(g, t, f, c, r=2)
 
     def test_tampered_witness_fails_validation(self):
-        import dataclasses
-
         g, seq = build_extremal(1, 3)
         w = find_spanning_tree(g, seq).witness
         assert validate_witness(g, w)
