@@ -42,21 +42,14 @@ from .sequences import (
     validate_degree_sequence,
 )
 from .solver import (
-    CutAnalysis,
     Exchange,
     ExchangeStep,
     InfeasibilityWitness,
     Inequality,
-    RootedForest,
     SolveResult,
     SolverInvariantError,
     VerifyResult,
-    apply_exchange,
-    build_witness,
-    compute_cut_sets,
     find_spanning_tree,
-    foreign_edges,
-    orient_forest,
     validate_witness,
     verify_tree,
 )
@@ -66,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConditionReport",
-    "CutAnalysis",
     "DEFAULT_BUDGET",
     "DegreeSequence",
     "Edge",
@@ -78,29 +70,23 @@ __all__ = [
     "LabelledGraph",
     "LabelledTree",
     "OracleBudgetError",
-    "RootedForest",
     "SequenceError",
     "SolveResult",
     "SolverInvariantError",
     "VerifyResult",
-    "apply_exchange",
     "build_extremal",
-    "build_witness",
     "canonical_word",
     "check_condition",
-    "compute_cut_sets",
     "count_trees",
     "degree_sum_threshold",
     "extremal_order",
     "extremal_worst_sum",
     "find_spanning_tree",
-    "foreign_edges",
     "is_tree",
     "iter_degree_trees",
     "min_nonadjacent_degree_sum",
     "oracle_count",
     "oracle_find",
-    "orient_forest",
     "parse_graph",
     "parse_sequence_literal",
     "prufer_decode",

@@ -20,15 +20,16 @@ condition that bound is contradictory, which is exactly why the solver
 cannot stall there.
 
 ``find_spanning_tree`` holds the tree as one mutable adjacency that each
-exchange edits at its four endpoints, so an exchange costs O(n).  The step
-functions ``orient_forest``, ``compute_cut_sets`` and ``apply_exchange``
-take the same steps on immutable LabelledTree values; witnesses and their
-validation are built from them.
+exchange edits at its four endpoints, so an exchange costs O(n).  Each
+exchange splits that adjacency into a RootedForest and reads it with
+``compute_cut_sets``; at a stall the same forest and analysis become the
+witness.  ``orient_forest`` and ``apply_exchange`` take the split and the
+rewiring steps on immutable LabelledTree values, and ``validate_witness``
+rebuilds a witness with them and compares.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -47,6 +48,7 @@ __all__ = [
     "SolveResult",
     "SolverInvariantError",
     "VerifyResult",
+    "foreign_edges",
     "orient_forest",
     "compute_cut_sets",
     "apply_exchange",
@@ -73,7 +75,6 @@ class RootedForest:
     removed_edge: Edge
     component: tuple[int, ...]
     parent: tuple[int | None, ...]
-    children: tuple[tuple[int, ...], ...]
     size_u: int
     size_v: int
 
@@ -239,16 +240,17 @@ def foreign_edges(g: LabelledGraph, t: LabelledTree) -> tuple[Edge, ...]:
     return tuple(e for e in t.edges if not g.are_adjacent(*e))
 
 
-def _split(adj: list[set[int]], u: int, v: int) -> tuple[list[int], list[int | None]]:
-    """Side labels and BFS parents of the tree adjacency ``adj`` cut at edge (u, v).
+def _split(adj: list[set[int]], u: int, v: int) -> RootedForest | None:
+    """The tree adjacency ``adj`` cut at its edge (u, v), u < v, and oriented.
 
-    ``adj`` still holds the edge and is only read.  A vertex that neither
-    root reaches keeps the label -1.
+    ``adj`` still holds the edge and is only read.  Returns None when a
+    vertex is reachable from neither root.
     """
     component = [-1] * len(adj)
     parent: list[int | None] = [None] * len(adj)
     component[u] = 0
     component[v] = 1
+    sizes = []
     for root in (u, v):
         label = component[root]
         queue = [root]
@@ -258,84 +260,34 @@ def _split(adj: list[set[int]], u: int, v: int) -> tuple[list[int], list[int | N
                     component[y] = label
                     parent[y] = x
                     queue.append(y)
-    return component, parent
+        sizes.append(len(queue))
+    size_u, size_v = sizes
+    if size_u + size_v != len(adj):
+        return None
+    return RootedForest(
+        removed_edge=(u, v),
+        component=tuple(component),
+        parent=tuple(parent),
+        size_u=size_u,
+        size_v=size_v,
+    )
 
 
 def orient_forest(t: LabelledTree, u: int, v: int) -> RootedForest:
-    """Remove tree edge (u, v) and orient both components away from u and v."""
+    """Remove tree edge (u, v) and orient both components away from its ends.
+
+    The smaller end is root u (side 0) in either argument order.  Raises
+    ValueError unless (u, v) is a tree edge whose split reaches every vertex.
+    """
     if not (0 <= u < t.n and 0 <= v < t.n):
         raise ValueError(f"vertices ({u}, {v}) out of range")
     adj = t.adjacency_sets()
     if v not in adj[u]:
         raise ValueError(f"({u}, {v}) is not a tree edge")
-    component, parent = _split(adj, u, v)
-    if -1 in component:
+    f = _split(adj, *normalized_edge(u, v))
+    if f is None:
         raise ValueError("input is not a tree: some vertices unreachable from the split")
-    children: list[list[int]] = [[] for _ in range(t.n)]
-    for y, p in enumerate(parent):
-        if p is not None:
-            children[p].append(y)
-    size_u = component.count(0)
-    return RootedForest(
-        removed_edge=normalized_edge(u, v),
-        component=tuple(component),
-        parent=tuple(parent),
-        children=tuple(tuple(c) for c in children),
-        size_u=size_u,
-        size_v=t.n - size_u,
-    )
-
-
-def _cut_analysis(
-    g: LabelledGraph,
-    u: int,
-    v: int,
-    comp: Sequence[int],
-    parent: Sequence[int | None],
-) -> CutAnalysis:
-    """The hook/bridge selection of ``compute_cut_sets`` on a split given by labels and parents."""
-    u_same = [y for y in g.adjacency[u] if comp[y] == 0]
-    u_other = [x for x in g.adjacency[u] if comp[x] == 1]
-    v_same = [y for y in g.adjacency[v] if comp[y] == 1]
-    v_other = [x for x in g.adjacency[v] if comp[x] == 0]
-    # y here is never its own root (no loops), so parent[y] is an int
-    hooks_u = frozenset(parent[y] for y in u_same)
-    bridges_u = frozenset(v_other)
-    hooks_v = frozenset(parent[y] for y in v_same)
-    bridges_v = frozenset(u_other)
-    if not g.are_adjacent(u, v) and (u in bridges_u or v in bridges_v):
-        raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
-
-    # The children of w that the near root can adopt are exactly the near
-    # root's same-side graph neighbours whose parent is w.
-    candidate: Exchange | None = None
-    drop = normalized_edge(u, v)
-    both_u = hooks_u & bridges_u
-    if both_u:
-        w = min(both_u)
-        y = min(y for y in u_same if parent[y] == w)
-        candidate = Exchange(
-            side="u", drop_foreign=drop, drop_tree=(w, y), add_1=(u, y), add_2=(v, w)
-        )
-    else:
-        both_v = hooks_v & bridges_v
-        if both_v:
-            w = min(both_v)
-            y = min(y for y in v_same if parent[y] == w)
-            candidate = Exchange(
-                side="v", drop_foreign=drop, drop_tree=(w, y), add_1=(v, y), add_2=(u, w)
-            )
-    return CutAnalysis(
-        hooks_u=hooks_u,
-        bridges_u=bridges_u,
-        hooks_v=hooks_v,
-        bridges_v=bridges_v,
-        u_nbrs_same=len(u_same),
-        u_nbrs_other=len(u_other),
-        v_nbrs_same=len(v_same),
-        v_nbrs_other=len(v_other),
-        candidate=candidate,
-    )
+    return f
 
 
 def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
@@ -346,7 +298,44 @@ def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
     adoptable by the near root.  The roots themselves can be hooks, but
     never bridges while (u, v) is missing from the graph.
     """
-    return _cut_analysis(g, *f.removed_edge, f.component, f.parent)
+    u, v = f.removed_edge
+    comp, parent = f.component, f.parent
+    u_same = [y for y in g.adjacency[u] if comp[y] == 0]
+    v_same = [y for y in g.adjacency[v] if comp[y] == 1]
+    # y here is never its own root (no loops), so parent[y] is an int
+    hooks_u = frozenset(parent[y] for y in u_same)
+    hooks_v = frozenset(parent[y] for y in v_same)
+    bridges_u = frozenset([x for x in g.adjacency[v] if comp[x] == 0])
+    bridges_v = frozenset([x for x in g.adjacency[u] if comp[x] == 1])
+    if not g.are_adjacent(u, v) and (u in bridges_u or v in bridges_v):
+        raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
+
+    # The children of w that the near root can adopt are exactly the near
+    # root's same-side graph neighbours whose parent is w.
+    candidate: Exchange | None = None
+    for side, near, far, same, hooks, bridges in (
+        ("u", u, v, u_same, hooks_u, bridges_u),
+        ("v", v, u, v_same, hooks_v, bridges_v),
+    ):
+        both = hooks & bridges
+        if both:
+            w = min(both)
+            y = min(y for y in same if parent[y] == w)
+            candidate = Exchange(
+                side=side, drop_foreign=(u, v), drop_tree=(w, y), add_1=(near, y), add_2=(far, w)
+            )
+            break
+    return CutAnalysis(
+        hooks_u=hooks_u,
+        bridges_u=bridges_u,
+        hooks_v=hooks_v,
+        bridges_v=bridges_v,
+        u_nbrs_same=len(u_same),
+        u_nbrs_other=len(bridges_v),
+        v_nbrs_same=len(v_same),
+        v_nbrs_other=len(bridges_u),
+        candidate=candidate,
+    )
 
 
 def _rewire(adj: list[set[int]], x: Exchange) -> None:
@@ -492,38 +481,24 @@ def build_witness(
 
 
 def validate_witness(g: LabelledGraph, w: InfeasibilityWitness) -> bool:
-    """Re-derive every witness count from the stored tree and the graph.
+    """Rebuild the witness from its stored tree and the graph, and compare.
 
-    Returns True only if the recorded split really stalls, every stored
-    count matches a fresh computation, and each inequality of the chain
-    holds arithmetically.
+    Returns True only if the tree is a spanning tree on g's vertices,
+    (u, v) with u < v is a tree edge missing from g whose split really
+    stalls, the witness that ``build_witness`` makes of that split equals
+    ``w`` in every field, and each inequality of the chain holds
+    arithmetically.
     """
-    pair = normalized_edge(w.u, w.v)
-    if pair not in set(w.tree.edges) or g.are_adjacent(*pair):
+    if w.tree.n != g.n or w.r < 2 or w.u >= w.v or tree_defect(w.tree) is not None:
         return False
     try:
-        f = orient_forest(w.tree, *pair)
+        f = orient_forest(w.tree, w.u, w.v)
     except ValueError:
         return False
     c = compute_cut_sets(g, f)
-    if c.candidate is not None:
+    if g.are_adjacent(w.u, w.v) or c.candidate is not None:
         return False
-    if (f.size_u, f.size_v) != (w.size_u, w.size_v):
-        return False
-    counts_match = (
-        (len(c.hooks_u), len(c.bridges_u), len(c.hooks_v), len(c.bridges_v))
-        == (w.hooks_u, w.bridges_u, w.hooks_v, w.bridges_v)
-        and (c.u_nbrs_same, c.u_nbrs_other, c.v_nbrs_same, c.v_nbrs_other)
-        == (w.u_nbrs_same, w.u_nbrs_other, w.v_nbrs_same, w.v_nbrs_other)
-    )
-    if not counts_match:
-        return False
-    if g.degree(w.u) + g.degree(w.v) != w.degree_sum:
-        return False
-    fresh = _witness_chain(w.r, f.size_u, f.size_v, c, g.degree(w.u), g.degree(w.v))
-    if fresh != w.chain:
-        return False
-    return all(ineq.holds for ineq in w.chain)
+    return build_witness(g, w.tree, f, c, w.r) == w and all(i.holds for i in w.chain)
 
 
 def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
@@ -546,15 +521,13 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
     missing = list(foreign_edges(g, t))
     adj = t.adjacency_sets()
     while missing:
-        u, v = missing[0]
-        component, parent = _split(adj, u, v)
-        if -1 in component:
-            raise SolverInvariantError(f"vertices unreachable from both ends of ({u}, {v})")
-        x = _cut_analysis(g, u, v, component, parent).candidate
+        f = _split(adj, *missing[0])
+        if f is None:
+            raise SolverInvariantError(f"vertices unreachable from both ends of {missing[0]}")
+        c = compute_cut_sets(g, f)
+        x = c.candidate
         if x is None:
-            t = _tree_of(adj)
-            f = orient_forest(t, u, v)
-            witness = build_witness(g, t, f, compute_cut_sets(g, f), r)
+            witness = build_witness(g, _tree_of(adj), f, c, r)
             return SolveResult(tree=None, witness=witness, steps=tuple(steps))
         for a, b in (x.add_1, x.add_2):
             if not g.are_adjacent(a, b):

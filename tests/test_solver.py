@@ -10,22 +10,24 @@ from degspan import (
     LabelledGraph,
     LabelledTree,
     SolverInvariantError,
-    apply_exchange,
     build_extremal,
-    build_witness,
     check_condition,
-    compute_cut_sets,
     find_spanning_tree,
-    foreign_edges,
     is_tree,
     oracle_find,
-    orient_forest,
     random_condition_graph,
     random_degree_sequence,
     realize_tree,
     validate_degree_sequence,
     validate_witness,
     verify_tree,
+)
+from degspan.solver import (
+    apply_exchange,
+    build_witness,
+    compute_cut_sets,
+    foreign_edges,
+    orient_forest,
 )
 from support import (
     complete_graph,
@@ -44,7 +46,6 @@ class TestOrientForest:
         assert f.size_u == 3 and f.size_v == 1
         assert f.parent[0] is None and f.parent[1] is None
         assert f.parent[2] == 0 and f.parent[3] == 0
-        assert f.children[0] == (2, 3)
 
     def test_path_split(self):
         path = LabelledTree.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -64,6 +65,15 @@ class TestOrientForest:
         path = LabelledTree.from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError):
             orient_forest(path, 0, 2)
+
+    def test_argument_order_does_not_matter(self):
+        # Vertex 3 hangs off root 0; the exchange is on 0's side either way.
+        g = LabelledGraph.from_edges(4, [(0, 2), (1, 3), (0, 1), (1, 2)])
+        t = LabelledTree.from_edges(4, [(0, 1), (1, 2), (0, 3)])
+        f = orient_forest(t, 3, 0)
+        assert f == orient_forest(t, 0, 3)
+        assert f.component == (0, 0, 0, 1) and f.size_u == 3
+        assert compute_cut_sets(g, f).candidate is not None
 
     def test_parents_walk_to_roots(self):
         seq = validate_degree_sequence([2, 3, 2, 2, 1, 1, 2, 2, 1])
@@ -209,13 +219,13 @@ class TestFindSpanningTree:
     ])
     def test_bad_exchange_raises_invariant_error(self, monkeypatch, change, message):
         # On C5 the only exchange drops (0, 3) and (2, 4) and adds (0, 4) and (3, 2).
-        select = degspan.solver._cut_analysis
+        select = degspan.solver.compute_cut_sets
 
         def tampered(*args):
             c = select(*args)
             return dataclasses.replace(c, candidate=dataclasses.replace(c.candidate, **change))
 
-        monkeypatch.setattr(degspan.solver, "_cut_analysis", tampered)
+        monkeypatch.setattr(degspan.solver, "compute_cut_sets", tampered)
         with pytest.raises(SolverInvariantError, match=message):
             find_spanning_tree(cycle_graph(5), validate_degree_sequence([2, 2, 2, 1, 1]))
 
@@ -225,6 +235,16 @@ class TestFindSpanningTree:
         monkeypatch.setattr(degspan.solver, "realize_tree", lambda seq: fake)
         with pytest.raises(SolverInvariantError, match="unreachable"):
             find_spanning_tree(cycle_graph(5), validate_degree_sequence([2, 2, 2, 1, 1]))
+
+    def test_stall_does_not_orient_again(self, monkeypatch):
+        g, seq = build_extremal(1, 3)
+        expected = find_spanning_tree(g, seq).witness
+
+        def fail(*args):
+            raise AssertionError("orient_forest called")
+
+        monkeypatch.setattr(degspan.solver, "orient_forest", fail)
+        assert find_spanning_tree(g, seq).witness == expected
 
     def test_two_vertices(self):
         seq = validate_degree_sequence([1, 1])
@@ -399,6 +419,21 @@ class TestWitness:
         assert not validate_witness(g, tampered)
         tampered2 = dataclasses.replace(w, degree_sum=w.degree_sum + 2)
         assert not validate_witness(g, tampered2)
+        flipped = dataclasses.replace(w, contradicts_condition=not w.contradicts_condition)
+        assert not validate_witness(g, flipped)
+        swapped = dataclasses.replace(w, u=w.v, v=w.u)
+        assert not validate_witness(g, swapped)
+        # The same witness against a larger graph: K9 minus (0, 1).
+        k9 = LabelledGraph.from_edges(
+            9, (e for e in itertools.combinations(range(9), 2) if e != (0, 1))
+        )
+        assert not validate_witness(k9, w)
+        # Counts taken on a connected graph with a cycle: (1, 2) crosses the "split".
+        g4 = LabelledGraph.from_edges(4, [(0, 1), (1, 3), (2, 3)])
+        cyclic = LabelledTree.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        f = orient_forest(cyclic, 0, 2)
+        forged = build_witness(g4, cyclic, f, compute_cut_sets(g4, f), r=3)
+        assert not validate_witness(g4, forged)
 
     @settings(deadline=None)
     @given(graph_with_sequence(min_n=4, max_n=8, cap=3))
