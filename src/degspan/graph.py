@@ -39,39 +39,36 @@ def normalized_edge(u: int, v: int) -> Edge:
 class LabelledGraph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    ``edges`` holds normalized (u < v) pairs in sorted order; ``adjacency``
-    holds one ascending neighbor tuple per vertex, so adjacency tests
-    bisect and every iteration order is deterministic.
+    ``adjacency`` holds one ascending neighbor tuple per vertex and is the
+    only stored form: adjacency tests bisect, ``edges`` is derived from it,
+    and every iteration order is deterministic.
     """
 
     n: int
-    edges: tuple[Edge, ...]
     adjacency: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> LabelledGraph:
-        """Build a graph, normalizing edges and collapsing duplicates.
+        """Build a graph from pairs in any order and orientation; duplicates collapse.
 
         Raises ValueError for out-of-range endpoints or self-loops.
         """
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        edge_set: set[Edge] = set()
+        adjacency: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            edge_set.add(normalized_edge(u, v))
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edge_set:
             adjacency[u].append(v)
             adjacency[v].append(u)
-        return cls(
-            n=n,
-            edges=tuple(sorted(edge_set)),
-            adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
-        )
+        return cls(n=n, adjacency=tuple(tuple(sorted(set(nbrs))) for nbrs in adjacency))
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Normalized (u < v) pairs in sorted order."""
+        return tuple((u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -88,14 +85,12 @@ class LabelledGraph:
         """True iff {u, v} is an edge; always False for u == v."""
         self._check_vertex(u)
         self._check_vertex(v)
-        if u == v:
-            return False
         nbrs = self.adjacency[u]
         i = bisect_left(nbrs, v)
         return i < len(nbrs) and nbrs[i] == v
 
     def is_complete(self) -> bool:
-        return 2 * len(self.edges) == self.n * (self.n - 1)
+        return sum(self.degree_vector()) == self.n * (self.n - 1)
 
 
 def parse_graph(text: str) -> LabelledGraph:

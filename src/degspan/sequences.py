@@ -33,8 +33,8 @@ __all__ = [
 class SequenceError(ValueError):
     """Invalid target degree sequence; ``code`` tells which rule failed.
 
-    Codes: "length" (fewer than two entries), "entry" (a zero or negative
-    degree), "sum" (total is not 2(n-1)).
+    Codes: "length" (fewer than two entries), "entry" (an empty,
+    non-integral, zero or negative degree), "sum" (total is not 2(n-1)).
     """
 
     def __init__(self, message: str, code: str) -> None:
@@ -58,16 +58,19 @@ class DegreeSequence:
 
 
 def validate_degree_sequence(degrees: Iterable[int]) -> DegreeSequence:
-    """Check positivity and the 2(n-1) sum; return the validated sequence.
+    """Check for positive integers summing to 2(n-1); return the validated sequence.
 
-    These two conditions are exactly tree realizability, and they force
+    These conditions are exactly tree realizability, and they force
     every entry to be at most n - 1.
     """
-    ds = tuple(int(d) for d in degrees)
+    raw = tuple(degrees)
+    ds = tuple(int(d) for d in raw)
     n = len(ds)
     if n < 2:
         raise SequenceError(f"need at least two entries, got {n}", code="length")
-    for i, d in enumerate(ds):
+    for i, (x, d) in enumerate(zip(raw, ds)):
+        if x != d:
+            raise SequenceError(f"entry {x!r} at position {i} is not an integer", code="entry")
         if d < 1:
             raise SequenceError(f"entry {d} at position {i} is not positive", code="entry")
     total = sum(ds)
@@ -79,12 +82,11 @@ def validate_degree_sequence(degrees: Iterable[int]) -> DegreeSequence:
 
 
 def parse_sequence_literal(text: str) -> DegreeSequence:
-    """Parse a comma-separated degree literal such as "3,1,1,1"."""
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
+    """Parse a comma-separated degree literal such as "3,1,1,1"; no field may be empty."""
+    if not text.strip():
         raise SequenceError("empty sequence literal", code="length")
     try:
-        degrees = [int(p) for p in parts]
+        degrees = [int(p) for p in text.split(",")]
     except ValueError:
         raise SequenceError(f"non-integer entry in {text!r}", code="entry") from None
     return validate_degree_sequence(degrees)

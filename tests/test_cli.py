@@ -1,4 +1,5 @@
 import json
+import re
 
 import jsonschema
 import pytest
@@ -376,6 +377,18 @@ class TestBatch:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_verbose_reports_each_instance_on_stderr(self, capsys):
+        argv = ("batch", "--n-min", "8", "--n-max", "12", "--r", "3", "--count", "5", "--seed", "1")
+        code, quiet_out, quiet_err = run_cli(capsys, *argv)
+        verbose_code, out, err = run_cli(capsys, *argv, "--verbose")
+        assert code == verbose_code == 0
+        assert quiet_err == ""
+        assert out == quiet_out
+        lines = err.splitlines()
+        assert len(lines) == 5
+        for i, line in enumerate(lines):
+            assert re.fullmatch(rf"instance {i}: n=\d+ exchanges=\d+ ok=True", line)
 
     def test_run_batch_deterministic(self):
         a = run_batch(8, 12, 3, 5, base_seed=3)

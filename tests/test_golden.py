@@ -41,6 +41,7 @@ CASES: dict[str, list[str]] = {
     "check-r1": ["check", "--graph", HOST, "--r", "1"],
     "realize-valid": ["realize", "--seq", "3,2,2,1,1,1"],
     "realize-invalid": ["realize", "--seq", "3,3,1,1"],
+    "realize-empty-entry": ["realize", "--seq", "2,,1,1"],
     "oracle-find-found": ["oracle-find", "--graph", HOST, "--seq", HOST_SEQ],
     "oracle-find-none": ["oracle-find", "--graph", STALL, "--seq", STALL_SEQ],
     "oracle-count-positive": ["oracle-count", "--graph", HOST, "--seq", HOST_SEQ],

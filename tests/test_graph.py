@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from degspan import (
     GraphParseError,
@@ -12,6 +13,7 @@ from degspan import (
     random_condition_graph,
     serialize_graph,
 )
+from degspan.graph import normalized_edge
 from support import complete_graph, graphs, path_graph
 
 
@@ -70,6 +72,16 @@ def test_serialize_parse_roundtrip(g):
     assert parse_graph(serialize_graph(g)) == g
 
 
+@given(graphs(), st.randoms(use_true_random=False))
+def test_from_edges_ignores_order_orientation_and_duplicates(g, rng):
+    pairs = list(g.edges) + [(v, u) for u, v in g.edges]
+    rng.shuffle(pairs)
+    h = LabelledGraph.from_edges(g.n, pairs)
+    assert h == g
+    assert hash(h) == hash(g)
+    assert h.edges == tuple(sorted({normalized_edge(u, v) for u, v in pairs}))
+
+
 @given(graphs())
 def test_degree_sum_is_twice_edge_count(g):
     assert sum(g.degree_vector()) == 2 * len(g.edges)
@@ -95,6 +107,12 @@ class TestAdjacency:
             g.are_adjacent(-1, 0)
         with pytest.raises(IndexError):
             g.degree(5)
+
+    def test_is_complete(self):
+        for n in (2, 3, 5):
+            assert complete_graph(n).is_complete()
+            minus_edge = LabelledGraph.from_edges(n, complete_graph(n).edges[1:])
+            assert not minus_edge.is_complete()
 
     def test_construction_rejects_bad_edges(self):
         with pytest.raises(ValueError):

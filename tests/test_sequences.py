@@ -40,6 +40,10 @@ class TestValidate:
         with pytest.raises(SequenceError) as exc:
             validate_degree_sequence([3, -1, 2, 2])
         assert exc.value.code == "entry"
+        for bad in ([2.7, 1, 1], [1.9, 1.1], [2, 1, 0.5, 0.5]):
+            with pytest.raises(SequenceError) as exc:
+                validate_degree_sequence(bad)
+            assert exc.value.code == "entry"
 
     def test_too_short(self):
         with pytest.raises(SequenceError) as exc:
@@ -70,12 +74,18 @@ class TestLiteral:
 
     def test_parse_with_spaces(self):
         assert parse_sequence_literal(" 2, 2 ,1,1 ").degrees == (2, 2, 1, 1)
+        assert parse_sequence_literal("2,1,1\n").degrees == (2, 1, 1)
 
     def test_parse_garbage(self):
         with pytest.raises(SequenceError):
             parse_sequence_literal("2,x,1,1")
-        with pytest.raises(SequenceError):
+        with pytest.raises(SequenceError) as exc:
             parse_sequence_literal("")
+        assert exc.value.code == "length"
+        for text in ("2,,1,1", "2,1,1,", ",2,1,1", "2, ,1,1"):
+            with pytest.raises(SequenceError) as exc:
+                parse_sequence_literal(text)
+            assert exc.value.code == "entry"
 
 
 class TestDecode:
