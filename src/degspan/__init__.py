@@ -19,7 +19,6 @@ from .graph import (
     min_nonadjacent_degree_sum,
     parse_graph,
     random_condition_graph,
-    serialize_edge_list,
     serialize_graph,
 )
 from .oracle import (
@@ -94,7 +93,6 @@ __all__ = [
     "random_condition_graph",
     "random_degree_sequence",
     "realize_tree",
-    "serialize_edge_list",
     "serialize_graph",
     "validate_degree_sequence",
     "validate_witness",

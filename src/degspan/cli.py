@@ -13,17 +13,10 @@ from typing import Any
 
 from .condition import check_condition
 from .extremal import build_extremal, extremal_worst_sum
-from .graph import (
-    LabelledGraph,
-    parse_graph,
-    random_condition_graph,
-    serialize_edge_list,
-    serialize_graph,
-)
+from .graph import LabelledGraph, parse_graph, random_condition_graph, serialize_graph
 from .oracle import DEFAULT_BUDGET, OracleBudgetError, count_trees, oracle_count, oracle_find
 from .sequences import DegreeSequence, parse_sequence_literal, random_degree_sequence, realize_tree
 from .solver import SolverInvariantError, find_spanning_tree, verify_tree
-from .tree import LabelledTree
 
 __all__ = ["main", "entrypoint", "run_batch", "BatchSummary"]
 
@@ -47,10 +40,6 @@ def _load_sequence(source: str) -> DegreeSequence:
     return parse_sequence_literal(source)
 
 
-def _tree_json(t: LabelledTree) -> dict[str, Any]:
-    return {"n": t.n, "edges": [list(e) for e in t.edges]}
-
-
 def _cmd_solve(args: argparse.Namespace) -> Report:
     g = _load_graph(args.graph)
     seq = _load_sequence(args.seq)
@@ -62,10 +51,10 @@ def _cmd_solve(args: argparse.Namespace) -> Report:
             raise SolverInvariantError(f"solver emitted an invalid tree: {outcome.reason}")
         payload = {
             "status": "found",
-            **_tree_json(t),
+            **t.to_json_dict(),
             "exchanges": [s.to_json_dict() for s in result.steps],
         }
-        return Report(payload, serialize_edge_list(t.n, t.edges), 0)
+        return Report(payload, serialize_graph(t), 0)
     w = result.witness
     final = w.chain[-1]
     text = (
@@ -98,7 +87,7 @@ def _cmd_check(args: argparse.Namespace) -> Report:
 
 def _cmd_realize(args: argparse.Namespace) -> Report:
     t = realize_tree(_load_sequence(args.seq))
-    return Report(_tree_json(t), serialize_edge_list(t.n, t.edges), 0)
+    return Report(t.to_json_dict(), serialize_graph(t), 0)
 
 
 def _cmd_oracle_find(args: argparse.Namespace) -> Report:
@@ -109,8 +98,8 @@ def _cmd_oracle_find(args: argparse.Namespace) -> Report:
     if tree is None:
         text = f"none of the {total} candidate trees is contained in the graph\n"
         return Report({"total_candidates": total, "first_tree": None}, text, 1)
-    payload = {"total_candidates": total, "first_tree": _tree_json(tree)}
-    return Report(payload, serialize_edge_list(tree.n, tree.edges), 0)
+    payload = {"total_candidates": total, "first_tree": tree.to_json_dict()}
+    return Report(payload, serialize_graph(tree), 0)
 
 
 def _cmd_oracle_count(args: argparse.Namespace) -> Report:
@@ -128,11 +117,7 @@ def _cmd_oracle_count(args: argparse.Namespace) -> Report:
 def _cmd_extremal(args: argparse.Namespace) -> Report:
     g, seq = build_extremal(args.k, args.r)
     payload: dict[str, Any] = {
-        "k": args.k,
-        "r": args.r,
-        "n": g.n,
-        "edges": [list(e) for e in g.edges],
-        "sequence": list(seq.degrees),
+        "k": args.k, "r": args.r, **g.to_json_dict(), "sequence": list(seq.degrees)
     }
     text = serialize_graph(g) + f"# sequence: {','.join(str(d) for d in seq.degrees)}\n"
     ok = True

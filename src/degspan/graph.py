@@ -6,6 +6,7 @@ import random
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import Any
 
 Edge = tuple[int, int]
 
@@ -14,7 +15,6 @@ __all__ = [
     "GraphParseError",
     "LabelledGraph",
     "parse_graph",
-    "serialize_edge_list",
     "serialize_graph",
     "min_nonadjacent_degree_sum",
     "normalized_edge",
@@ -68,7 +68,7 @@ class LabelledGraph:
     @property
     def edges(self) -> tuple[Edge, ...]:
         """Normalized (u < v) pairs in sorted order."""
-        return tuple((u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v)
+        return tuple([(u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v])
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -92,12 +92,16 @@ class LabelledGraph:
     def is_complete(self) -> bool:
         return sum(self.degree_vector()) == self.n * (self.n - 1)
 
+    def to_json_dict(self) -> dict[str, Any]:
+        return {"n": self.n, "edges": [list(e) for e in self.edges]}
+
 
 def parse_graph(text: str) -> LabelledGraph:
     """Parse the edge-list file format.
 
     First non-comment line is the vertex count n; every following
-    non-comment line is ``u v`` with 0 <= u, v < n and u != v.  Lines
+    non-comment line is ``u v`` with 0 <= u, v < n and u != v.  Every
+    number is a run of ASCII digits 0-9, nothing else.  Whole lines
     starting with '#' and blank lines are ignored.  Duplicate edge lines
     collapse to a single edge; self-loops are an error.
     """
@@ -108,21 +112,18 @@ def parse_graph(text: str) -> LabelledGraph:
         if not line or line.startswith("#"):
             continue
         if n is None:
-            try:
-                n = int(line)
-            except ValueError:
-                raise GraphParseError(f"expected vertex count, got {line!r}", lineno) from None
-            if n < 0:
-                raise GraphParseError("vertex count must be non-negative", lineno)
+            if not (line.isascii() and line.isdigit()):
+                raise GraphParseError(f"expected vertex count, got {line!r}", lineno)
+            n = int(line)
             continue
         parts = line.split()
         if len(parts) != 2:
             raise GraphParseError(f"expected 'u v', got {line!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError(f"non-integer endpoint in {line!r}", lineno) from None
-        if not (0 <= u < n) or not (0 <= v < n):
+        a, b = parts
+        if not (line.isascii() and a.isdigit() and b.isdigit()):
+            raise GraphParseError(f"endpoint not in digits 0-9 in {line!r}", lineno)
+        u, v = int(a), int(b)
+        if u >= n or v >= n:
             raise GraphParseError(f"vertex index out of range [0, {n}) in {line!r}", lineno)
         if u == v:
             raise GraphParseError(f"self-loop at vertex {u}", lineno)
@@ -132,15 +133,10 @@ def parse_graph(text: str) -> LabelledGraph:
     return LabelledGraph.from_edges(n, edges)
 
 
-def serialize_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> str:
-    """Canonical text form: vertex count, then sorted normalized edges."""
-    pairs = sorted(normalized_edge(u, v) for u, v in edges)
-    lines = [str(n)] + [f"{u} {v}" for u, v in pairs]
-    return "\n".join(lines) + "\n"
-
-
 def serialize_graph(g: LabelledGraph) -> str:
-    return serialize_edge_list(g.n, g.edges)
+    """Canonical text form of a graph or tree: vertex count, then its sorted edges."""
+    lines = [str(g.n)] + [f"{u} {v}" for u, v in g.edges]
+    return "\n".join(lines) + "\n"
 
 
 def min_nonadjacent_degree_sum(g: LabelledGraph) -> tuple[Edge, int] | None:

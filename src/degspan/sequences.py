@@ -33,8 +33,9 @@ __all__ = [
 class SequenceError(ValueError):
     """Invalid target degree sequence; ``code`` tells which rule failed.
 
-    Codes: "length" (fewer than two entries), "entry" (an empty,
-    non-integral, zero or negative degree), "sum" (total is not 2(n-1)).
+    Codes: "length" (fewer than two entries), "entry" (a literal field
+    that is not digits 0-9, or a non-integral, zero or negative degree),
+    "sum" (total is not 2(n-1)).
     """
 
     def __init__(self, message: str, code: str) -> None:
@@ -82,14 +83,18 @@ def validate_degree_sequence(degrees: Iterable[int]) -> DegreeSequence:
 
 
 def parse_sequence_literal(text: str) -> DegreeSequence:
-    """Parse a comma-separated degree literal such as "3,1,1,1"; no field may be empty."""
+    """Parse a comma-separated degree literal such as "3,1,1,1".
+
+    Each field, stripped of surrounding whitespace, must be a non-empty
+    run of ASCII digits 0-9.
+    """
     if not text.strip():
         raise SequenceError("empty sequence literal", code="length")
-    try:
-        degrees = [int(p) for p in text.split(",")]
-    except ValueError:
-        raise SequenceError(f"non-integer entry in {text!r}", code="entry") from None
-    return validate_degree_sequence(degrees)
+    fields = [p.strip() for p in text.split(",")]
+    for i, p in enumerate(fields):
+        if not (p.isascii() and p.isdigit()):
+            raise SequenceError(f"entry {p!r} at position {i} is not in digits 0-9", code="entry")
+    return validate_degree_sequence([int(p) for p in fields])
 
 
 def canonical_word(seq: DegreeSequence) -> tuple[int, ...]:
@@ -158,7 +163,7 @@ def prufer_encode(tree: LabelledTree) -> tuple[int, ...]:
     n = tree.n
     if n == 2:
         return ()
-    adj = tree.adjacency_sets()
+    adj = [set(a) for a in tree.adjacency]
     leaves = [v for v in range(n) if len(adj[v]) == 1]
     heapq.heapify(leaves)
     word: list[int] = []

@@ -209,7 +209,7 @@ class InfeasibilityWitness:
             "degree_sum": self.degree_sum,
             "contradicts_condition": self.contradicts_condition,
             "inequalities": [ineq.to_json_dict() for ineq in self.chain],
-            "tree": {"n": self.tree.n, "edges": [list(e) for e in self.tree.edges]},
+            "tree": self.tree.to_json_dict(),
         }
 
 
@@ -281,7 +281,7 @@ def orient_forest(t: LabelledTree, u: int, v: int) -> RootedForest:
     """
     if not (0 <= u < t.n and 0 <= v < t.n):
         raise ValueError(f"vertices ({u}, {v}) out of range")
-    adj = t.adjacency_sets()
+    adj = [set(a) for a in t.adjacency]
     if v not in adj[u]:
         raise ValueError(f"({u}, {v}) is not a tree edge")
     f = _split(adj, *normalized_edge(u, v))
@@ -363,9 +363,8 @@ def _rewire(adj: list[set[int]], x: Exchange) -> None:
 
 
 def _tree_of(adj: list[set[int]]) -> LabelledTree:
-    return LabelledTree.from_edges(
-        len(adj), ((a, b) for a, nbrs in enumerate(adj) for b in nbrs if a < b)
-    )
+    """Freeze the solver's tree adjacency, which its invariant checks keep simple."""
+    return LabelledTree(n=len(adj), adjacency=tuple(tuple(sorted(a)) for a in adj))
 
 
 def apply_exchange(t: LabelledTree, x: Exchange) -> LabelledTree:
@@ -376,7 +375,7 @@ def apply_exchange(t: LabelledTree, x: Exchange) -> LabelledTree:
     reconnect, so the result is again a spanning tree.  A stale exchange,
     one that does not fit ``t``, raises SolverInvariantError.
     """
-    adj = t.adjacency_sets()
+    adj = [set(a) for a in t.adjacency]
     _rewire(adj, x)
     return _tree_of(adj)
 
@@ -519,7 +518,7 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
     t = realize_tree(seq)
     steps: list[ExchangeStep] = []
     missing = list(foreign_edges(g, t))
-    adj = t.adjacency_sets()
+    adj = [set(a) for a in t.adjacency]
     while missing:
         f = _split(adj, *missing[0])
         if f is None:

@@ -39,9 +39,11 @@ CASES: dict[str, list[str]] = {
     "check-satisfied": ["check", "--graph", HOST, "--r", "3"],
     "check-unsatisfied": ["check", "--graph", STALL, "--r", "3"],
     "check-r1": ["check", "--graph", HOST, "--r", "1"],
+    "check-underscore-endpoint": ["check", "--graph", "{inputs}/underscore.txt", "--r", "3"],
     "realize-valid": ["realize", "--seq", "3,2,2,1,1,1"],
     "realize-invalid": ["realize", "--seq", "3,3,1,1"],
     "realize-empty-entry": ["realize", "--seq", "2,,1,1"],
+    "realize-underscore-entry": ["realize", "--seq", "1_1,1,1,1,1,1,1,1,1,1,1,1"],
     "oracle-find-found": ["oracle-find", "--graph", HOST, "--seq", HOST_SEQ],
     "oracle-find-none": ["oracle-find", "--graph", STALL, "--seq", STALL_SEQ],
     "oracle-count-positive": ["oracle-count", "--graph", HOST, "--seq", HOST_SEQ],

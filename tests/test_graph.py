@@ -53,6 +53,8 @@ class TestParse:
             parse_graph("3\n0 1 2\n")
         with pytest.raises(GraphParseError):
             parse_graph("3\n0 x\n")
+        with pytest.raises(GraphParseError):  # only whole lines are comments
+            parse_graph("3\n0 1 # x\n")
 
     def test_missing_vertex_count(self):
         with pytest.raises(GraphParseError):
@@ -65,6 +67,18 @@ class TestParse:
     def test_isolated_vertices_allowed(self):
         g = parse_graph("5\n0 1\n")
         assert g.degree(4) == 0
+
+    @pytest.mark.parametrize("token", ["1_0", "+3", "-1", "\uff12", "\u00b2", "0x2", "2.0"])
+    def test_numbers_are_ascii_digits_only(self, token):
+        with pytest.raises(GraphParseError) as exc:
+            parse_graph(f"12\n{token} 2\n")
+        assert exc.value.line == 2
+        with pytest.raises(GraphParseError) as exc:
+            parse_graph(f"12\n0 {token}\n")
+        assert exc.value.line == 2
+        with pytest.raises(GraphParseError) as exc:
+            parse_graph(f"# count\n{token}\n")
+        assert exc.value.line == 2
 
 
 @given(graphs())

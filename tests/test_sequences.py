@@ -87,6 +87,15 @@ class TestLiteral:
                 parse_sequence_literal(text)
             assert exc.value.code == "entry"
 
+    @pytest.mark.parametrize("token", ["1_1", "+3", "-1", "\uff12", "\u00b2", "0x2", "2.0"])
+    def test_entries_are_ascii_digits_only(self, token):
+        with pytest.raises(SequenceError) as exc:
+            parse_sequence_literal(f"{token},1,1,1,1,1,1,1,1,1,1,1")
+        assert exc.value.code == "entry"
+        with pytest.raises(SequenceError) as exc:
+            parse_sequence_literal(f"2, {token} ,1,1\n")
+        assert exc.value.code == "entry"
+
 
 class TestDecode:
     def test_empty_word(self):

@@ -482,3 +482,44 @@ class TestVerifyTree:
         t = LabelledTree.from_edges(4, [(0, 1)])
         out = verify_tree(g, t, validate_degree_sequence([2, 2, 1, 1]))
         assert not out
+
+
+class TestTreeContainer:
+    def test_is_a_graph_with_the_same_stored_form(self):
+        assert issubclass(LabelledTree, LabelledGraph)
+        assert [f.name for f in dataclasses.fields(LabelledTree)] == ["n", "adjacency"]
+        t = LabelledTree.from_edges(4, [(2, 0), (0, 1), (3, 1)])
+        assert t.adjacency == ((1, 2), (0, 3), (0,), (1,))
+        assert t.edges == ((0, 1), (0, 2), (1, 3))
+        assert t.degree_vector() == (2, 2, 1, 1)
+        assert t.are_adjacent(3, 1) and not t.are_adjacent(2, 3)
+
+    def test_from_edges_rejects_repeated_edges_and_no_vertices(self):
+        for pairs in ([(0, 1), (1, 0)], [(0, 1), (0, 1)]):
+            with pytest.raises(ValueError):
+                LabelledTree.from_edges(3, pairs)
+        with pytest.raises(ValueError):
+            LabelledTree.from_edges(0, [])
+        with pytest.raises(ValueError):
+            LabelledTree.from_edges(3, [(0, 3)])
+        with pytest.raises(ValueError):
+            LabelledTree.from_edges(3, [(1, 1)])
+
+    def test_solver_trees_match_validated_construction(self):
+        # The solver builds its trees without from_edges; rebuilding every
+        # one through it must give the same value on the pinned instances.
+        from test_solver_pinned import _instances
+
+        def same_as_validated(t):
+            return t == LabelledTree.from_edges(t.n, t.edges)
+
+        for g, seq in _instances():
+            res = find_spanning_tree(g, seq)
+            final = res.tree if res.ok else res.witness.tree
+            assert same_as_validated(final)
+            t = realize_tree(seq)
+            for step in res.steps:
+                t = apply_exchange(t, step.exchange)
+                assert same_as_validated(t)
+            if res.ok:
+                assert t == final
