@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
@@ -13,6 +13,7 @@ Edge = tuple[int, int]
 __all__ = [
     "Edge",
     "GraphParseError",
+    "MAX_N",
     "LabelledGraph",
     "parse_graph",
     "serialize_graph",
@@ -20,6 +21,10 @@ __all__ = [
     "normalized_edge",
     "random_condition_graph",
 ]
+
+
+MAX_N = 10**6
+"""Largest vertex count ``parse_graph`` accepts; it is checked before any allocation."""
 
 
 class GraphParseError(ValueError):
@@ -33,6 +38,11 @@ class GraphParseError(ValueError):
 def normalized_edge(u: int, v: int) -> Edge:
     """The pair with its smaller endpoint first."""
     return (u, v) if u < v else (v, u)
+
+
+def _freeze(adjacency: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Sorted, duplicate-free neighbour tuples from validated, symmetric lists."""
+    return tuple(tuple(sorted(set(nbrs))) for nbrs in adjacency)
 
 
 @dataclass(frozen=True)
@@ -63,7 +73,7 @@ class LabelledGraph:
                 raise ValueError(f"self-loop at vertex {u}")
             adjacency[u].append(v)
             adjacency[v].append(u)
-        return cls(n=n, adjacency=tuple(tuple(sorted(set(nbrs))) for nbrs in adjacency))
+        return cls(n=n, adjacency=_freeze(adjacency))
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -99,14 +109,20 @@ class LabelledGraph:
 def parse_graph(text: str) -> LabelledGraph:
     """Parse the edge-list file format.
 
-    First non-comment line is the vertex count n; every following
-    non-comment line is ``u v`` with 0 <= u, v < n and u != v.  Every
-    number is a run of ASCII digits 0-9, nothing else.  Whole lines
+    First non-comment line is the vertex count n, at most ``MAX_N``; every
+    following non-comment line is ``u v`` with 0 <= u, v < n and u != v.
+    Every number is a run of ASCII digits 0-9, nothing else.  Whole lines
     starting with '#' and blank lines are ignored.  Duplicate edge lines
     collapse to a single edge; self-loops are an error.
+
+    Each line is validated once and its edge goes straight into the
+    neighbour lists.  Numbers are compared by digit count before ``int()``
+    sees them, so an oversized count or endpoint is rejected with its line
+    number and without converting it or allocating for it.
     """
     n: int | None = None
-    edges: list[Edge] = []
+    width = 0  # digits in n
+    adjacency: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -114,7 +130,11 @@ def parse_graph(text: str) -> LabelledGraph:
         if n is None:
             if not (line.isascii() and line.isdigit()):
                 raise GraphParseError(f"expected vertex count, got {line!r}", lineno)
-            n = int(line)
+            n = int(_capped(line, len(str(MAX_N))))
+            if n > MAX_N:
+                raise GraphParseError(f"vertex count exceeds the limit {MAX_N}", lineno)
+            width = len(str(n))
+            adjacency = [[] for _ in range(n)]
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -122,15 +142,28 @@ def parse_graph(text: str) -> LabelledGraph:
         a, b = parts
         if not (line.isascii() and a.isdigit() and b.isdigit()):
             raise GraphParseError(f"endpoint not in digits 0-9 in {line!r}", lineno)
+        if len(a) > width or len(b) > width:
+            a, b = _capped(a, width), _capped(b, width)
         u, v = int(a), int(b)
         if u >= n or v >= n:
             raise GraphParseError(f"vertex index out of range [0, {n}) in {line!r}", lineno)
         if u == v:
             raise GraphParseError(f"self-loop at vertex {u}", lineno)
-        edges.append((u, v))
+        adjacency[u].append(v)
+        adjacency[v].append(u)
     if n is None:
         raise GraphParseError("missing vertex count line", 1)
-    return LabelledGraph.from_edges(n, edges)
+    return LabelledGraph(n=n, adjacency=_freeze(adjacency))
+
+
+def _capped(digits: str, width: int) -> str:
+    """``digits`` without leading zeros, cut to ``width + 1`` digits.
+
+    A number of at most ``width`` digits keeps its value; a longer one stays
+    at least 10**width, so it still fails any bound below that, and ``int()``
+    never has to convert it.
+    """
+    return digits.lstrip("0")[: width + 1] or "0"
 
 
 def serialize_graph(g: LabelledGraph) -> str:
@@ -144,16 +177,56 @@ def min_nonadjacent_degree_sum(g: LabelledGraph) -> tuple[Edge, int] | None:
 
     Ties break to the lexicographically smallest pair; returns None when
     the graph is complete (no non-adjacent pair exists).
+
+    Two passes over per-degree buckets (each holding its vertices in index
+    order) replace a scan of all n^2 pairs:
+
+    1. The minimum sum S.  Visit u in ascending degree order and pair it
+       with the first vertex in that order that is neither u nor one of
+       its neighbours; at most deg(u) + 1 vertices are skipped.  Stop once
+       2 deg(u) reaches the best sum so far.  The early stop is sound: a
+       pair with an endpoint already visited was covered from that
+       endpoint, whose partner had the least degree it could have; a pair
+       of two unvisited vertices sums to at least 2 deg(u).
+    2. The pair.  Visit u in index order and look for the smallest v > u
+       in the bucket of degree S - deg(u) that is not a neighbour of u:
+       bisect past u, then skip neighbours, at most deg(u) of them.  The
+       first u that has such a v gives the lexicographically first pair.
+
+    Pass 1 costs O(n + m).  Pass 2 costs one bisection per vertex and per
+    skipped neighbour, so O(n log n) when few neighbours are skipped and
+    O((n + m) log n) at worst.  Sums are exact integers.
     """
-    best: tuple[Edge, int] | None = None
+    adjacency = g.adjacency
+    degree = [len(nbrs) for nbrs in adjacency]
+    buckets: list[list[int]] = [[] for _ in range(g.n)]
+    for v, d in enumerate(degree):
+        buckets[d].append(v)
+    order = [v for bucket in buckets for v in bucket]
+    best = 2 * g.n  # above every degree sum
+    for u in order:
+        du = degree[u]
+        if 2 * du >= best:
+            break
+        nbrs = set(adjacency[u])
+        for w in order:
+            if w != u and w not in nbrs:
+                best = min(best, du + degree[w])
+                break
+    if best == 2 * g.n:
+        return None
     for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.are_adjacent(u, v):
-                continue
-            s = g.degree(u) + g.degree(v)
-            if best is None or s < best[1]:
-                best = ((u, v), s)
-    return best
+        target = best - degree[u]
+        if not 0 <= target < g.n:
+            continue
+        bucket, nbrs = buckets[target], adjacency[u]
+        j = 0
+        for i in range(bisect_right(bucket, u), len(bucket)):
+            v = bucket[i]
+            j = bisect_left(nbrs, v, j)
+            if j == len(nbrs) or nbrs[j] != v:
+                return (u, v), best
+    raise AssertionError("unreachable: pass 1 found a pair with the minimum sum")
 
 
 def random_condition_graph(n: int, r: int, seed: int) -> LabelledGraph:

@@ -553,9 +553,10 @@ def verify_tree(g: LabelledGraph, t: LabelledTree, seq: DegreeSequence) -> Verif
         return VerifyResult(False, f"order mismatch: tree {t.n}, graph {g.n}")
     if seq.n != g.n:
         return VerifyResult(False, f"order mismatch: sequence {seq.n}, graph {g.n}")
-    for e in t.edges:
-        if not g.are_adjacent(*e):
-            return VerifyResult(False, f"edge {e} not in graph")
+    for u, nbrs in enumerate(t.adjacency):
+        for v in nbrs:
+            if u < v and not g.are_adjacent(u, v):
+                return VerifyResult(False, f"edge {(u, v)} not in graph")
     defect = tree_defect(t)
     if defect is not None:
         return VerifyResult(False, defect)

@@ -34,9 +34,9 @@ class LabelledTree(LabelledGraph):
 
 def tree_defect(t: LabelledTree) -> str | None:
     """Why t is not connected and acyclic on all n vertices, or None if it is."""
-    edges = t.edges
-    if len(edges) != t.n - 1:
-        return f"edge count {len(edges)} != n - 1 = {t.n - 1}"
+    m = sum(map(len, t.adjacency)) // 2
+    if m != t.n - 1:
+        return f"edge count {m} != n - 1 = {t.n - 1}"
     parent = list(range(t.n))
 
     def find(x: int) -> int:
@@ -45,11 +45,13 @@ def tree_defect(t: LabelledTree) -> str | None:
             x = parent[x]
         return x
 
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return f"not a tree: cycle through edge ({u}, {v})"
-        parent[ru] = rv
+    for u, nbrs in enumerate(t.adjacency):
+        for v in nbrs:
+            if u < v:
+                ru, rv = find(u), find(v)
+                if ru == rv:
+                    return f"not a tree: cycle through edge ({u}, {v})"
+                parent[ru] = rv
     return None
 
 

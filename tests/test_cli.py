@@ -251,6 +251,15 @@ class TestCheck:
         code, _, _ = run_cli(capsys, "check", "--graph", k4_file, "--r", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("count", ["1000001", "9" * 5000])
+    def test_oversized_count_names_its_line(self, capsys, tmp_path, count):
+        path = tmp_path / "big.txt"
+        path.write_text(f"# header\n{count}\n0 1\n")
+        code, out, err = run_cli(capsys, "check", "--graph", str(path), "--r", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 2: vertex count exceeds the limit 1000000\n"
+
 
 class TestRealize:
     def test_star(self, capsys):

@@ -40,6 +40,7 @@ CASES: dict[str, list[str]] = {
     "check-unsatisfied": ["check", "--graph", STALL, "--r", "3"],
     "check-r1": ["check", "--graph", HOST, "--r", "1"],
     "check-underscore-endpoint": ["check", "--graph", "{inputs}/underscore.txt", "--r", "3"],
+    "check-oversized-count": ["check", "--graph", "{inputs}/oversized-count.txt", "--r", "3"],
     "realize-valid": ["realize", "--seq", "3,2,2,1,1,1"],
     "realize-invalid": ["realize", "--seq", "3,3,1,1"],
     "realize-empty-entry": ["realize", "--seq", "2,,1,1"],

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -13,8 +14,8 @@ from degspan import (
     random_condition_graph,
     serialize_graph,
 )
-from degspan.graph import normalized_edge
-from support import complete_graph, graphs, path_graph
+from degspan.graph import MAX_N, normalized_edge
+from support import all_labelled_graphs, complete_graph, graphs, path_graph
 
 
 class TestParse:
@@ -80,6 +81,53 @@ class TestParse:
             parse_graph(f"# count\n{token}\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("# only a comment\n", 1, "missing vertex count line"),
+            ("\n# c\n4 4\n", 3, "expected vertex count, got '4 4'"),
+            ("# c\n1000001\n", 2, f"vertex count exceeds the limit {MAX_N}"),
+            ("3\n0 1\n\n  0 1 2 \n", 4, "expected 'u v', got '0 1 2'"),
+            ("3\n0 1\n0 x\n", 3, "endpoint not in digits 0-9 in '0 x'"),
+            ("3\n# c\n0 3\n", 3, "vertex index out of range [0, 3) in '0 3'"),
+            ("3\n0 1\n 2 2\n", 3, "self-loop at vertex 2"),
+        ],
+    )
+    def test_every_error_names_its_line(self, text, line, message):
+        with pytest.raises(GraphParseError) as exc:
+            parse_graph(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
+    def test_leading_zeros_keep_their_value(self):
+        g = parse_graph("0004\n00 03\n" + "0" * 5000 + "1 2\n")
+        assert g == LabelledGraph.from_edges(4, [(0, 3), (1, 2)])
+
+    def test_count_over_limit_is_rejected_before_allocating(self):
+        for count in (str(MAX_N + 1), "9" * 5000):
+            error, peak = _rejection(f"# big\n{count}\n0 1\n")
+            assert str(error) == f"line 2: vertex count exceeds the limit {MAX_N}"
+            assert peak < 100_000
+
+    def test_huge_endpoint_is_out_of_range_without_conversion(self):
+        huge = "9" * 5000  # int() refuses more than 4300 digits by default
+        for text in (f"3\n0 1\n{huge} 1\n", f"3\n0 1\n1 {huge}\n"):
+            error, peak = _rejection(text)
+            assert error.line == 3
+            assert "vertex index out of range [0, 3)" in str(error)
+            assert peak < 100_000
+
+
+def _rejection(text):
+    """The GraphParseError parse_graph(text) raises, and the peak bytes it allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphParseError) as exc:
+            parse_graph(text)
+        return exc.value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 @given(graphs())
 def test_serialize_parse_roundtrip(g):
@@ -94,6 +142,35 @@ def test_from_edges_ignores_order_orientation_and_duplicates(g, rng):
     assert h == g
     assert hash(h) == hash(g)
     assert h.edges == tuple(sorted({normalized_edge(u, v) for u, v in pairs}))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """(text, n, pairs): an edge-list file with repeated and reversed pairs,
+    comments, blank lines, padding and mixed line endings around its lines."""
+    n = draw(st.integers(0, 9))
+    vertex = st.integers(0, max(n - 1, 0))
+    pairs = []
+    if n >= 2:
+        pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])))
+    if pairs:
+        repeats = draw(st.lists(st.sampled_from(pairs), max_size=8))
+        pairs = draw(st.permutations(pairs + [(v, u) for u, v in repeats] + repeats[:2]))
+    pad = st.sampled_from(["", " ", "\t", " \t "])
+    filler = st.lists(st.sampled_from(["", "  ", "#", "# 0 1", "  # note"]), max_size=2)
+    lines = draw(filler) + [draw(pad) + str(n) + draw(pad)]
+    for u, v in pairs:
+        gap = draw(st.sampled_from([" ", "\t", "   "]))
+        lines += draw(filler) + [f"{draw(pad)}{u}{gap}{v}{draw(pad)}"]
+    lines += draw(filler)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends)), n, pairs
+
+
+@given(edge_list_texts())
+def test_parse_equals_from_edges_of_the_same_pairs(case):
+    text, n, pairs = case
+    assert parse_graph(text) == LabelledGraph.from_edges(n, pairs)
 
 
 @given(graphs())
@@ -135,6 +212,18 @@ class TestAdjacency:
             LabelledGraph.from_edges(3, [(1, 1)])
 
 
+def brute_min_pair(g):
+    """Reference scan of every pair: the lexicographically first minimizer, with its sum."""
+    best = None
+    for u, v in itertools.combinations(range(g.n), 2):
+        if g.are_adjacent(u, v):
+            continue
+        s = g.degree(u) + g.degree(v)
+        if best is None or s < best[1]:
+            best = ((u, v), s)
+    return best
+
+
 class TestMinNonadjacentSum:
     def test_complete_graph_has_none(self):
         assert min_nonadjacent_degree_sum(complete_graph(4)) is None
@@ -147,43 +236,77 @@ class TestMinNonadjacentSum:
         g = LabelledGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert min_nonadjacent_degree_sum(g) == ((0, 2), 4)
 
-    @given(graphs(min_n=3, max_n=8))
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_orders(self, n):
+        assert min_nonadjacent_degree_sum(LabelledGraph.from_edges(n, [])) == (
+            ((0, 1), 0) if n == 2 else None
+        )
+        assert min_nonadjacent_degree_sum(complete_graph(n)) is None
+
+    def test_star(self):
+        # Leaves are pairwise non-adjacent; the centre is adjacent to all.
+        g = LabelledGraph.from_edges(6, [(3, v) for v in range(6) if v != 3])
+        assert min_nonadjacent_degree_sum(g) == ((0, 1), 2)
+
+    def test_complement_of_perfect_matching(self):
+        # Every vertex has degree n - 2; the only non-adjacent pairs are the matching.
+        n = 8
+        matching = {(0, 5), (1, 7), (2, 4), (3, 6)}
+        g = LabelledGraph.from_edges(
+            n, (p for p in itertools.combinations(range(n), 2) if p not in matching)
+        )
+        assert min_nonadjacent_degree_sum(g) == ((0, 5), 2 * (n - 2))
+
+    def test_isolated_vertex(self):
+        g = LabelledGraph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        assert min_nonadjacent_degree_sum(g) == ((3, 4), 1)
+
+    def test_tie_across_degree_buckets(self):
+        # The minimum 8 is 4 + 4 at (0, 3) and 5 + 3 at (1, 2); the
+        # lowest-degree vertex 2 does not lie on the first pair.
+        edges = [
+            (0, 1), (0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (1, 6),
+            (2, 3), (2, 6), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6),
+        ]
+        g = LabelledGraph.from_edges(7, edges)
+        assert g.degree_vector() == (4, 5, 3, 4, 5, 5, 4)
+        assert min_nonadjacent_degree_sum(g) == ((0, 3), 8)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_labelled_graph_up_to_five(self, n):
+        for g in all_labelled_graphs(n):
+            assert min_nonadjacent_degree_sum(g) == brute_min_pair(g)
+
+    @given(graphs(min_n=0, max_n=12))
     def test_is_minimum_over_all_nonadjacent_pairs(self, g):
-        result = min_nonadjacent_degree_sum(g)
-        sums = {
-            (u, v): g.degree(u) + g.degree(v)
-            for u, v in itertools.combinations(range(g.n), 2)
-            if not g.are_adjacent(u, v)
-        }
-        if not sums:
-            assert result is None
-        else:
-            pair, s = result
-            assert s == min(sums.values())
-            assert sums[pair] == s
+        assert min_nonadjacent_degree_sum(g) == brute_min_pair(g)
+
+    def test_seeded_random_graphs_agree_with_reference(self):
+        import random
+
+        rng = random.Random(5)
+        for _ in range(3000):
+            n, p = rng.randint(3, 12), rng.random()
+            pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            g = LabelledGraph.from_edges(n, pairs)
+            assert min_nonadjacent_degree_sum(g) == brute_min_pair(g)
 
     def test_cross_check_at_n100(self):
         import random
 
         rng = random.Random(17)
         n = 100
-        g = LabelledGraph.from_edges(
-            n,
-            (
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if rng.random() < 0.4
-            ),
-        )
-        pair, s = min_nonadjacent_degree_sum(g)
-        brute = min(
-            g.degree(u) + g.degree(v)
-            for u, v in itertools.combinations(range(n), 2)
-            if not g.are_adjacent(u, v)
-        )
-        assert s == brute
-        assert not g.are_adjacent(*pair)
+        for p in (0.1, 0.4, 0.9):
+            g = LabelledGraph.from_edges(
+                n,
+                (
+                    (u, v)
+                    for u in range(n)
+                    for v in range(u + 1, n)
+                    if rng.random() < p
+                ),
+            )
+            assert min_nonadjacent_degree_sum(g) == brute_min_pair(g)
 
 
 class TestRandomConditionGraph:

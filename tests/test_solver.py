@@ -483,6 +483,19 @@ class TestVerifyTree:
         out = verify_tree(g, t, validate_degree_sequence([2, 2, 1, 1]))
         assert not out
 
+    def test_reasons_name_the_first_failure_in_edge_order(self):
+        seq5 = validate_degree_sequence([2, 2, 2, 1, 1])
+        t = LabelledTree.from_edges(5, [(3, 4), (1, 3), (0, 1), (2, 0)])
+        assert verify_tree(path_graph(5), t, seq5).reason == "edge (0, 2) not in graph"
+        t = LabelledTree.from_edges(5, [(3, 4), (1, 2), (0, 2), (0, 1)])
+        assert verify_tree(complete_graph(5), t, seq5).reason == (
+            "not a tree: cycle through edge (1, 2)"
+        )
+        t = LabelledTree.from_edges(4, [(2, 3), (0, 1)])
+        assert verify_tree(complete_graph(4), t, validate_degree_sequence([2, 2, 1, 1])).reason == (
+            "edge count 2 != n - 1 = 3"
+        )
+
 
 class TestTreeContainer:
     def test_is_a_graph_with_the_same_stored_form(self):
