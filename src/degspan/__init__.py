@@ -52,7 +52,7 @@ from .solver import (
     validate_witness,
     verify_tree,
 )
-from .tree import LabelledTree, is_tree
+from .tree import LabelledTree
 
 __version__ = "0.1.0"
 
@@ -81,7 +81,6 @@ __all__ = [
     "extremal_order",
     "extremal_worst_sum",
     "find_spanning_tree",
-    "is_tree",
     "iter_degree_trees",
     "min_nonadjacent_degree_sum",
     "oracle_count",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -13,7 +14,9 @@ from typing import Any
 
 from .condition import check_condition
 from .extremal import build_extremal, extremal_worst_sum
-from .graph import LabelledGraph, parse_graph, random_condition_graph, serialize_graph
+from .graph import (
+    MAX_GENERATED_N, LabelledGraph, parse_graph, random_condition_graph, serialize_graph,
+)
 from .oracle import DEFAULT_BUDGET, OracleBudgetError, count_trees, oracle_count, oracle_find
 from .sequences import DegreeSequence, parse_sequence_literal, random_degree_sequence, realize_tree
 from .solver import SolverInvariantError, find_spanning_tree, verify_tree
@@ -187,6 +190,8 @@ def run_batch(
         raise ValueError(f"empty order range [{n_min}, {n_max}]")
     if count < 0:
         raise ValueError(f"instance count must be non-negative, got {count}")
+    if n_max > MAX_GENERATED_N:
+        raise ValueError(f"order {n_max} exceeds the generator limit {MAX_GENERATED_N}")
     solved = 0
     verified = 0
     max_exchanges = 0
@@ -233,6 +238,7 @@ def _cmd_batch(args: argparse.Namespace) -> Report:
     return Report(summary.to_json_dict(), text, 0 if not summary.failures else 1)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="degspan",
@@ -293,9 +299,8 @@ def main(argv: list[str] | None = None) -> int:
     Exit codes: 0 found/ok, 1 negative verdict, 2 bad input, 3 a solver
     invariant failed (a bug, reported instead of a traceback).
     """
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -10,16 +10,19 @@ non-adjacent pair sits only 1/(r-1) below the threshold.
 
 from __future__ import annotations
 
-from .graph import LabelledGraph
+from .graph import MAX_GENERATED_N, LabelledGraph
 from .sequences import DegreeSequence, validate_degree_sequence
 
 __all__ = ["build_extremal", "extremal_worst_sum", "extremal_order"]
 
 
 def extremal_order(k: int, r: int) -> int:
-    """Vertex count 2k(r-1) + 2 of the (k, r) family member."""
+    """Vertex count 2k(r-1) + 2 of the (k, r) family member, at most MAX_GENERATED_N."""
     _check_params(k, r)
-    return 2 * k * (r - 1) + 2
+    n = 2 * k * (r - 1) + 2
+    if n > MAX_GENERATED_N:
+        raise ValueError(f"order {n} (k={k}, r={r}) exceeds the generator limit {MAX_GENERATED_N}")
+    return n
 
 
 def _check_params(k: int, r: int) -> None:
@@ -35,7 +38,6 @@ def build_extremal(k: int, r: int) -> tuple[LabelledGraph, DegreeSequence]:
     Layout: X at indices 0..k-1, Y at k..2k-1, Z at 2k..n-1.  The target
     asks degree r on X and Y and degree 1 on Z, which sums to 2(n-1).
     """
-    _check_params(k, r)
     n = extremal_order(k, r)
     xs = range(0, k)
     ys = range(k, 2 * k)

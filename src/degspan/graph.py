@@ -14,6 +14,7 @@ __all__ = [
     "Edge",
     "GraphParseError",
     "MAX_N",
+    "MAX_GENERATED_N",
     "LabelledGraph",
     "parse_graph",
     "serialize_graph",
@@ -25,6 +26,9 @@ __all__ = [
 
 MAX_N = 10**6
 """Largest vertex count ``parse_graph`` accepts; it is checked before any allocation."""
+
+MAX_GENERATED_N = 2000
+"""Largest order the generators build; their graphs are dense, so it is checked first."""
 
 
 class GraphParseError(ValueError):
@@ -98,9 +102,6 @@ class LabelledGraph:
         nbrs = self.adjacency[u]
         i = bisect_left(nbrs, v)
         return i < len(nbrs) and nbrs[i] == v
-
-    def is_complete(self) -> bool:
-        return sum(self.degree_vector()) == self.n * (self.n - 1)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
@@ -239,8 +240,8 @@ def random_condition_graph(n: int, r: int, seed: int) -> LabelledGraph:
     """
     from .condition import degree_sum_threshold
 
-    if n < 4:
-        raise ValueError("need n >= 4")
+    if not 4 <= n <= MAX_GENERATED_N:
+        raise ValueError(f"need 4 <= n <= generator limit {MAX_GENERATED_N}, got {n}")
     if r < 2:
         raise ValueError("need r >= 2")
     bound = degree_sum_threshold(n, r)

@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from .graph import Edge
-from .tree import LabelledTree, is_tree
+from .tree import LabelledTree, tree_defect
 
 __all__ = [
     "SequenceError",
@@ -158,7 +158,7 @@ def prufer_encode(tree: LabelledTree) -> tuple[int, ...]:
 
     Raises ValueError when the input is not a tree (cycle or disconnected).
     """
-    if not is_tree(tree):
+    if tree_defect(tree) is not None:
         raise ValueError("input is not a tree (cycle or disconnected)")
     n = tree.n
     if n == 2:

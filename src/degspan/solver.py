@@ -117,13 +117,12 @@ class ExchangeStep:
 
 @dataclass(frozen=True)
 class CutAnalysis:
-    """Hook and bridge sets of one split, with per-side neighbor counts.
+    """Hook and bridge sets of one split, with each root's same-side degree.
 
     For the side rooted at u: ``hooks_u`` are tree parents of vertices y
     in that component with uy a graph edge; ``bridges_u`` are vertices of
-    that component graph-adjacent to v.  ``u_nbrs_same``/``u_nbrs_other``
-    split deg(u) by component (likewise for v), so len(bridges_u) ==
-    v_nbrs_other and len(bridges_v) == u_nbrs_other.
+    that component graph-adjacent to v, so v has len(bridges_u) neighbours
+    on u's side.  ``u_nbrs_same`` counts u's neighbours on its own side.
     """
 
     hooks_u: frozenset[int]
@@ -131,9 +130,7 @@ class CutAnalysis:
     hooks_v: frozenset[int]
     bridges_v: frozenset[int]
     u_nbrs_same: int
-    u_nbrs_other: int
     v_nbrs_same: int
-    v_nbrs_other: int
     candidate: Exchange | None
 
 
@@ -236,8 +233,9 @@ class VerifyResult:
 
 
 def foreign_edges(g: LabelledGraph, t: LabelledTree) -> tuple[Edge, ...]:
-    """Tree edges absent from the graph, ascending (the potential phi)."""
-    return tuple(e for e in t.edges if not g.are_adjacent(*e))
+    """Tree edges absent from the graph, ascending (phi); reads ``t.adjacency`` with u < v."""
+    return tuple((u, v) for u, nbrs in enumerate(t.adjacency) for v in nbrs
+                 if u < v and not g.are_adjacent(u, v))
 
 
 def _split(adj: list[set[int]], u: int, v: int) -> RootedForest | None:
@@ -331,9 +329,7 @@ def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
         hooks_v=hooks_v,
         bridges_v=bridges_v,
         u_nbrs_same=len(u_same),
-        u_nbrs_other=len(bridges_v),
         v_nbrs_same=len(v_same),
-        v_nbrs_other=len(bridges_u),
         candidate=candidate,
     )
 
@@ -392,11 +388,12 @@ def _witness_chain(
     chain: list[Inequality] = []
     sides = (
         ("u", "v", size_u, len(c.hooks_u), len(c.bridges_u),
-         len(c.hooks_u & c.bridges_u), c.u_nbrs_same, c.v_nbrs_other),
+         len(c.hooks_u & c.bridges_u), c.u_nbrs_same),
         ("v", "u", size_v, len(c.hooks_v), len(c.bridges_v),
-         len(c.hooks_v & c.bridges_v), c.v_nbrs_same, c.u_nbrs_other),
+         len(c.hooks_v & c.bridges_v), c.v_nbrs_same),
     )
-    for near, far, size, hooks, bridges, overlap, near_same, far_other in sides:
+    for near, far, size, hooks, bridges, overlap, near_same in sides:
+        far_other = bridges  # the far root's neighbours here are this side's bridges
         chain.append(
             Inequality(f"|hooks_{near} & bridges_{near}| == 0", overlap, "==", 0)
         )
@@ -427,9 +424,9 @@ def _witness_chain(
             )
         )
     chain.append(Inequality("deg(u) == u_nbrs_same + u_nbrs_other",
-                            deg_u, "==", c.u_nbrs_same + c.u_nbrs_other))
+                            deg_u, "==", c.u_nbrs_same + len(c.bridges_v)))
     chain.append(Inequality("deg(v) == v_nbrs_same + v_nbrs_other",
-                            deg_v, "==", c.v_nbrs_same + c.v_nbrs_other))
+                            deg_v, "==", c.v_nbrs_same + len(c.bridges_u)))
     chain.append(
         Inequality("(r-1)*(deg(u)+deg(v)) <= (2r-3)*n - 2*(r-2)",
                    (r - 1) * (deg_u + deg_v), "<=", (2 * r - 3) * n - 2 * (r - 2))
@@ -469,9 +466,9 @@ def build_witness(
         hooks_v=len(c.hooks_v),
         bridges_v=len(c.bridges_v),
         u_nbrs_same=c.u_nbrs_same,
-        u_nbrs_other=c.u_nbrs_other,
+        u_nbrs_other=len(c.bridges_v),
         v_nbrs_same=c.v_nbrs_same,
-        v_nbrs_other=c.v_nbrs_other,
+        v_nbrs_other=len(c.bridges_u),
         degree_sum=deg_u + deg_v,
         chain=chain,
         contradicts_condition=contradicts,
@@ -546,17 +543,16 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
 def verify_tree(g: LabelledGraph, t: LabelledTree, seq: DegreeSequence) -> VerifyResult:
     """Independent post-check of a claimed solution.
 
-    Confirms order, edge membership in the graph, spanning tree-ness, and
-    the exact degree vector; reports the first failure found.
+    Confirms order, edge membership in the graph (the ``foreign_edges`` scan),
+    spanning tree-ness and the exact degree vector; reports the first failure.
     """
     if t.n != g.n:
         return VerifyResult(False, f"order mismatch: tree {t.n}, graph {g.n}")
     if seq.n != g.n:
         return VerifyResult(False, f"order mismatch: sequence {seq.n}, graph {g.n}")
-    for u, nbrs in enumerate(t.adjacency):
-        for v in nbrs:
-            if u < v and not g.are_adjacent(u, v):
-                return VerifyResult(False, f"edge {(u, v)} not in graph")
+    missing = foreign_edges(g, t)
+    if missing:
+        return VerifyResult(False, f"edge {missing[0]} not in graph")
     defect = tree_defect(t)
     if defect is not None:
         return VerifyResult(False, defect)

@@ -1,4 +1,4 @@
-"""Labelled trees as graphs that keep every edge they are given, plus tree-ness checks."""
+"""Labelled trees as graphs that keep every edge they are given, plus the tree-ness check."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .graph import LabelledGraph
 
-__all__ = ["LabelledTree", "is_tree", "tree_defect"]
+__all__ = ["LabelledTree", "tree_defect"]
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,3 @@ def tree_defect(t: LabelledTree) -> str | None:
                     return f"not a tree: cycle through edge ({u}, {v})"
                 parent[ru] = rv
     return None
-
-
-def is_tree(t: LabelledTree) -> bool:
-    """True iff t is connected and acyclic on all n vertices."""
-    return tree_defect(t) is None

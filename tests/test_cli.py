@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 
@@ -417,3 +418,18 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run_cli(capsys, "realize", "--seq", "3,1,1,1")[0] == 0
+        after_first = len(built)
+        for argv in (["realize", "--seq", "2,2,1,1"], ["frobnicate"], ["--help"]):
+            run_cli(capsys, *argv)
+        assert len(built) == after_first

@@ -58,12 +58,14 @@ CASES: dict[str, list[str]] = {
         "extremal", "--k", "3", "--r", "3", "--verify", "--budget", "10",
     ],
     "extremal-k0": ["extremal", "--k", "0"],
+    "extremal-oversized": ["extremal", "--k", "500"],  # order 2002 > MAX_GENERATED_N
     "batch-seeded": [
         "batch", "--n-min", "8", "--n-max", "12", "--r", "3", "--count", "5", "--seed", "1",
     ],
     "batch-empty-range": ["batch", "--n-min", "9", "--n-max", "8", "--count", "3"],
     "batch-count-0": ["batch", "--n-min", "8", "--n-max", "9", "--count", "0"],
     "batch-negative-count": ["batch", "--n-min", "8", "--n-max", "9", "--count", "-3"],
+    "batch-oversized": ["batch", "--n-min", "2001", "--n-max", "2001", "--count", "1"],
 }
 
 

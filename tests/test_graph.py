@@ -14,7 +14,9 @@ from degspan import (
     random_condition_graph,
     serialize_graph,
 )
-from degspan.graph import MAX_N, normalized_edge
+from degspan.cli import run_batch
+from degspan.extremal import build_extremal, extremal_order
+from degspan.graph import MAX_GENERATED_N, MAX_N, normalized_edge
 from support import all_labelled_graphs, complete_graph, graphs, path_graph
 
 
@@ -201,9 +203,9 @@ class TestAdjacency:
 
     def test_is_complete(self):
         for n in (2, 3, 5):
-            assert complete_graph(n).is_complete()
+            assert min_nonadjacent_degree_sum(complete_graph(n)) is None
             minus_edge = LabelledGraph.from_edges(n, complete_graph(n).edges[1:])
-            assert not minus_edge.is_complete()
+            assert min_nonadjacent_degree_sum(minus_edge) is not None
 
     def test_construction_rejects_bad_edges(self):
         with pytest.raises(ValueError):
@@ -322,7 +324,7 @@ class TestRandomConditionGraph:
     def test_small_order_forces_complete(self):
         # At n = 4 the r = 3 bound (11/2) exceeds any non-adjacent sum.
         g = random_condition_graph(4, 3, seed=1)
-        assert g.is_complete()
+        assert g.edges == complete_graph(4).edges
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -342,3 +344,26 @@ class TestRandomConditionGraph:
             random_condition_graph(3, 3, seed=0)
         with pytest.raises(ValueError):
             random_condition_graph(10, 1, seed=0)
+
+
+class TestGeneratorLimit:
+    def test_orders_up_to_the_limit_are_accepted(self):
+        assert extremal_order((MAX_GENERATED_N - 2) // 4, 3) <= MAX_GENERATED_N
+        assert extremal_order((MAX_GENERATED_N - 2) // 6, 4) == MAX_GENERATED_N
+
+    @pytest.mark.parametrize("generate", [
+        lambda: random_condition_graph(MAX_GENERATED_N + 1, 3, seed=0),
+        lambda: build_extremal((MAX_GENERATED_N - 2) // 4 + 1, 3),  # order limit + 2
+        lambda: extremal_order((MAX_GENERATED_N - 2) // 6 + 1, 4),  # order limit + 6
+        lambda: run_batch(MAX_GENERATED_N + 1, MAX_GENERATED_N + 1, 3, 1),
+        lambda: run_batch(8, MAX_GENERATED_N + 1, 3, 0),
+    ])
+    def test_one_over_the_limit_is_rejected_before_allocating(self, generate):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"generator limit {MAX_GENERATED_N}"):
+                generate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,14 +8,16 @@ from degspan import (
     LabelledGraph,
     OracleBudgetError,
     build_extremal,
+    canonical_word,
     count_trees,
     iter_degree_trees,
     oracle_count,
     oracle_find,
     prufer_decode,
+    random_degree_sequence,
     validate_degree_sequence,
 )
-from support import all_degree_sequences, complete_graph, graph_with_sequence
+from support import all_degree_sequences, all_labelled_graphs, complete_graph, graph_with_sequence
 
 
 class TestCountTrees:
@@ -123,3 +126,38 @@ class TestOracleCount:
         for extra in missing[:3]:
             bigger = LabelledGraph.from_edges(g.n, list(g.edges) + [extra])
             assert oracle_count(bigger, seq) >= base
+
+
+def reference_contained_trees(g, seq):
+    """Contained trees in lexicographic word order, by plain enumeration.
+
+    Independent of the oracle's walk: every distinct rearrangement of the
+    canonical word, sorted, decoded, and tested edge by edge.
+    """
+    words = sorted(set(itertools.permutations(canonical_word(seq))))
+    trees = (prufer_decode(word, seq.n) for word in words)
+    return [t for t in trees if all(g.are_adjacent(*e) for e in t.edges)]
+
+
+class TestOracleReference:
+    @staticmethod
+    def agree(g, seq):
+        contained = reference_contained_trees(g, seq)
+        assert oracle_count(g, seq) == len(contained)
+        assert oracle_find(g, seq) == (contained[0] if contained else None)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_graph_and_sequence(self, n):
+        for g in all_labelled_graphs(n):
+            for degrees in all_degree_sequences(n, n - 1):
+                self.agree(g, validate_degree_sequence(degrees))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_seeded_random_graphs(self, n):
+        rng = random.Random(n)
+        for _ in range(12):
+            p = rng.uniform(0.3, 0.9)
+            pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            g = LabelledGraph.from_edges(n, pairs)
+            for _ in range(3):
+                self.agree(g, random_degree_sequence(n, rng.randint(2, n - 1), rng))

@@ -8,7 +8,6 @@ from degspan import (
     LabelledTree,
     SequenceError,
     canonical_word,
-    is_tree,
     parse_sequence_literal,
     prufer_decode,
     prufer_encode,
@@ -16,6 +15,7 @@ from degspan import (
     realize_tree,
     validate_degree_sequence,
 )
+from degspan.tree import tree_defect
 from support import degree_sequences, prufer_words
 
 
@@ -169,7 +169,7 @@ class TestRealize:
     def test_larger_sequence_degrees_recount(self):
         seq = validate_degree_sequence([3, 3, 2, 1, 1, 1, 1, 2])
         t = realize_tree(seq)
-        assert is_tree(t)
+        assert tree_defect(t) is None
         assert t.degree_vector() == seq.degrees
 
     def test_canonical_word_shape(self):
@@ -198,7 +198,7 @@ def test_roundtrip_decode_encode(case):
 @given(degree_sequences(max_n=12))
 def test_realize_matches_sequence(seq):
     t = realize_tree(seq)
-    assert is_tree(t)
+    assert tree_defect(t) is None
     assert t.degree_vector() == seq.degrees
 
 
