@@ -37,19 +37,19 @@ def build_extremal(k: int, r: int) -> tuple[LabelledGraph, DegreeSequence]:
 
     Layout: X at indices 0..k-1, Y at k..2k-1, Z at 2k..n-1.  The target
     asks degree r on X and Y and degree 1 on Z, which sums to 2(n-1).
+
+    Each sorted neighbour tuple is cut from one tuple of all vertices:
+    everything but v itself, and for X and Y also the other group.
     """
     n = extremal_order(k, r)
-    xs = range(0, k)
-    ys = range(k, 2 * k)
-    missing = {(x, y) for x in xs for y in ys}
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if (u, v) not in missing
-    ]
+    ids = tuple(range(n))
+    adjacency = (
+        [ids[:v] + ids[v + 1 : k] + ids[2 * k :] for v in range(k)]
+        + [ids[k:v] + ids[v + 1 :] for v in range(k, 2 * k)]
+        + [ids[:v] + ids[v + 1 :] for v in range(2 * k, n)]
+    )
     degrees = [r] * (2 * k) + [1] * (n - 2 * k)
-    return LabelledGraph.from_edges(n, edges), validate_degree_sequence(degrees)
+    return LabelledGraph(n, tuple(adjacency)), validate_degree_sequence(degrees)
 
 
 def extremal_worst_sum(k: int, r: int) -> int:

@@ -120,11 +120,30 @@ def parse_graph(text: str) -> LabelledGraph:
     neighbour lists.  Numbers are compared by digit count before ``int()``
     sees them, so an oversized count or endpoint is rejected with its line
     number and without converting it or allocating for it.
+
+    Endpoint tokens repeat across lines, so ``seen`` maps each token that
+    has passed the full checks on an accepted edge line to its vertex.  A
+    line is taken as an edge without further checks only when it is
+    ASCII, splits into exactly two tokens, both are in ``seen`` and they
+    name different vertices; that is exactly what the full checks would
+    accept for it.  Every other line (the count, blanks, comments, a
+    token's first appearance, every error) takes the full checks, so the
+    accepted graphs and every error message and line number are those of
+    the checks alone.  ``seen`` holds only tokens that occur in the text.
     """
     n: int | None = None
     width = 0  # digits in n
     adjacency: list[list[int]] = []
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if len(parts) == 2 and raw.isascii():
+            u = seen.get(parts[0])
+            v = seen.get(parts[1])
+            if u is not None and v is not None and u != v:
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+                continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -137,21 +156,23 @@ def parse_graph(text: str) -> LabelledGraph:
             width = len(str(n))
             adjacency = [[] for _ in range(n)]
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise GraphParseError(f"expected 'u v', got {line!r}", lineno)
         a, b = parts
         if not (line.isascii() and a.isdigit() and b.isdigit()):
             raise GraphParseError(f"endpoint not in digits 0-9 in {line!r}", lineno)
         if len(a) > width or len(b) > width:
-            a, b = _capped(a, width), _capped(b, width)
-        u, v = int(a), int(b)
+            u, v = int(_capped(a, width)), int(_capped(b, width))
+        else:
+            u, v = int(a), int(b)
         if u >= n or v >= n:
             raise GraphParseError(f"vertex index out of range [0, {n}) in {line!r}", lineno)
         if u == v:
             raise GraphParseError(f"self-loop at vertex {u}", lineno)
         adjacency[u].append(v)
         adjacency[v].append(u)
+        seen[a] = u
+        seen[b] = v
     if n is None:
         raise GraphParseError("missing vertex count line", 1)
     return LabelledGraph(n=n, adjacency=_freeze(adjacency))

@@ -15,6 +15,15 @@ from degspan import (
     oracle_count,
     validate_witness,
 )
+from degspan.graph import MAX_GENERATED_N, LabelledGraph
+
+
+def reference_extremal_graph(k, r):
+    """Every pair of the 2k(r-1) + 2 vertices except those between X and Y."""
+    n = 2 * k * (r - 1) + 2
+    return LabelledGraph.from_edges(
+        n, ((u, v) for u, v in itertools.combinations(range(n), 2) if not u < k <= v < 2 * k)
+    )
 
 
 class TestBuild:
@@ -50,6 +59,16 @@ class TestBuild:
                 g, seq = build_extremal(k, r)
                 assert g.n == 2 * k * (r - 1) + 2
                 assert sum(seq.degrees) == 2 * (g.n - 1)
+
+    @pytest.mark.parametrize("k, r", [(1, 3), (2, 3), (3, 3), (1, 4), (2, 5), (4, 4)])
+    def test_equals_complete_graph_minus_the_cross_pairs(self, k, r):
+        assert build_extremal(k, r)[0] == reference_extremal_graph(k, r)
+
+    def test_equals_reference_at_the_generator_limit(self):
+        k, r = (MAX_GENERATED_N - 2) // 6, 4
+        g, _ = build_extremal(k, r)
+        assert g.n == MAX_GENERATED_N
+        assert g == reference_extremal_graph(k, r)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -41,6 +41,9 @@ CASES: dict[str, list[str]] = {
     "check-r1": ["check", "--graph", HOST, "--r", "1"],
     "check-underscore-endpoint": ["check", "--graph", "{inputs}/underscore.txt", "--r", "3"],
     "check-oversized-count": ["check", "--graph", "{inputs}/oversized-count.txt", "--r", "3"],
+    # host9 with CRLF ends, comments and zero-padded endpoints: the same graph
+    "check-padded-crlf": ["check", "--graph", "{inputs}/host9-padded-crlf.txt", "--r", "3"],
+    "check-nbsp-endpoint": ["check", "--graph", "{inputs}/nbsp-endpoint.txt", "--r", "3"],
     "realize-valid": ["realize", "--seq", "3,2,2,1,1,1"],
     "realize-invalid": ["realize", "--seq", "3,3,1,1"],
     "realize-empty-entry": ["realize", "--seq", "2,,1,1"],
@@ -91,6 +94,18 @@ def test_golden_output(name, fmt):
         assert err.startswith("error:")
     else:
         assert err == ""
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_padded_crlf_host_reads_as_host(fmt):
+    padded = golden_path("check-padded-crlf", fmt).read_bytes()
+    assert padded == golden_path("check-satisfied", fmt).read_bytes()
+
+
+def test_nbsp_endpoint_names_its_line():
+    code, out, err = run("check-nbsp-endpoint", "text")
+    assert (code, out) == (2, "")
+    assert err.endswith("line 4: endpoint not in digits 0-9 in '0\\xa01'\n")
 
 
 def record() -> None:

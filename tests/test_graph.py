@@ -2,7 +2,7 @@ import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degspan import (
@@ -111,6 +111,23 @@ class TestParse:
             assert str(error) == f"line 2: vertex count exceeds the limit {MAX_N}"
             assert peak < 100_000
 
+    def test_no_per_vertex_table_beyond_the_neighbour_lists(self):
+        n = 200_000
+        text = f"{n}\n0 1\n"
+        tracemalloc.start()
+        try:
+            lists = [[] for _ in range(n)]
+            lists_bytes = tracemalloc.get_traced_memory()[0]
+            del lists
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            g = parse_graph(text)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert g.edges == ((0, 1),)
+        assert peak <= 1.25 * lists_bytes
+
     def test_huge_endpoint_is_out_of_range_without_conversion(self):
         huge = "9" * 5000  # int() refuses more than 4300 digits by default
         for text in (f"3\n0 1\n{huge} 1\n", f"3\n0 1\n1 {huge}\n"):
@@ -173,6 +190,119 @@ def edge_list_texts(draw):
 def test_parse_equals_from_edges_of_the_same_pairs(case):
     text, n, pairs = case
     assert parse_graph(text) == LabelledGraph.from_edges(n, pairs)
+
+
+def reference_parse_graph(text):
+    """``parse_graph`` with every check on every line and no token memo."""
+    n = None
+    width = 0
+    adjacency = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if n is None:
+            if not (line.isascii() and line.isdigit()):
+                raise GraphParseError(f"expected vertex count, got {line!r}", lineno)
+            n = int(_capped(line, len(str(MAX_N))))
+            if n > MAX_N:
+                raise GraphParseError(f"vertex count exceeds the limit {MAX_N}", lineno)
+            width = len(str(n))
+            adjacency = [[] for _ in range(n)]
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphParseError(f"expected 'u v', got {line!r}", lineno)
+        a, b = parts
+        if not (line.isascii() and a.isdigit() and b.isdigit()):
+            raise GraphParseError(f"endpoint not in digits 0-9 in {line!r}", lineno)
+        if len(a) > width or len(b) > width:
+            a, b = _capped(a, width), _capped(b, width)
+        u, v = int(a), int(b)
+        if u >= n or v >= n:
+            raise GraphParseError(f"vertex index out of range [0, {n}) in {line!r}", lineno)
+        if u == v:
+            raise GraphParseError(f"self-loop at vertex {u}", lineno)
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    if n is None:
+        raise GraphParseError("missing vertex count line", 1)
+    return LabelledGraph(n=n, adjacency=tuple(tuple(sorted(set(a))) for a in adjacency))
+
+
+def _capped(digits, width):
+    return digits.lstrip("0")[: width + 1] or "0"
+
+
+# Every character str.split and str.strip treat as whitespace, and the
+# subset str.splitlines also breaks lines at.
+WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace()]
+LINE_BREAKS = [c for c in WHITESPACE if len(f"a{c}a".splitlines()) == 2] + ["\r\n"]
+JUNK_TOKENS = ["\u0663", "\u00b2", "\uff12", "_", "+", "-1", "1_0", "+1", "x", "#", "#0"]
+
+
+@st.composite
+def hostile_graph_texts(draw):
+    """Graph files whose well-formed edge lines repeat and pad their
+    endpoints, ended by every line break, with a few hostile lines put in
+    anywhere: any whitespace character, out-of-range or non-ASCII digits,
+    self-loops, comment lines with two tokens, wrong token counts."""
+    n = draw(st.integers(0, 12))
+    names = [str(i) for i in range(n)] + (["7", "007"] if n > 7 else [])
+    names += ["0" + name for name in names]
+    number = st.sampled_from(names or ["0"])
+    space = st.sampled_from([" ", "\t", "  ", "\x1f"])
+    hostile_space = st.one_of(space, st.sampled_from(WHITESPACE))
+    token = st.one_of(number, st.sampled_from([str(n), str(n + 1), "0" + str(n)] + JUNK_TOKENS))
+
+    @st.composite
+    def line(draw, tokens, space):
+        words = draw(tokens)
+        pad = st.one_of(st.just(""), space)
+        body = words[0] if words else ""
+        for word in words[1:]:
+            body += draw(space) + word
+        return draw(pad) + body + draw(pad)
+
+    edge = line(st.tuples(number, number).filter(lambda p: int(p[0]) != int(p[1])), space)
+    pool = draw(st.lists(edge, min_size=1, max_size=8))
+    hostile = st.one_of(
+        line(st.tuples(number, number), hostile_space),
+        line(st.lists(token, max_size=3), hostile_space),
+        line(st.tuples(st.sampled_from(["#", "#0", "# 1"]), number), hostile_space),
+        # a well-formed line gone wrong: its tokens are already known
+        st.tuples(st.sampled_from(pool), hostile_space, token).map("".join),
+        st.tuples(st.sampled_from(["#", "0"]), st.sampled_from(pool)).map("".join),
+        st.tuples(hostile_space, st.sampled_from(pool)).map(lambda p: p[0].join(p[1].split())),
+        st.sampled_from(pool).map(lambda edge: 2 * (edge.split()[0] + " ")),
+    )
+    count = line(st.tuples(st.sampled_from([str(n), "0" + str(n)])), space)
+    if draw(st.integers(0, 5)) == 3:
+        count = hostile
+    size = draw(st.integers(0, 30))
+    lines = [draw(count)] + draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(hostile))
+    ends = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines), max_size=len(lines)))
+    return "".join(row + end for row, end in zip(lines, ends))
+
+
+def _parsed(parse, text):
+    """The graph parse(text) returns, or the message and line of its GraphParseError."""
+    try:
+        return parse(text)
+    except GraphParseError as error:
+        return str(error), error.line
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_graph_texts())
+@example("12\n007 1\n7 1\n1 007\n0 7\n007 7\n")
+@example("12\n1 2\n1 2 3\n")
+@example("12\n7 1\n007 1\n# 7\n1 7\n7 1\n1\xa07\n")
+@example("9\r\n00 1\r\n0 1\x1f\x85 1  00 \x1c1\u30000\n")
+def test_parse_agrees_with_the_per_line_reference(text):
+    assert _parsed(parse_graph, text) == _parsed(reference_parse_graph, text)
 
 
 @given(graphs())
