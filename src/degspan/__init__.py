@@ -25,7 +25,6 @@ from .oracle import (
     DEFAULT_BUDGET,
     OracleBudgetError,
     count_trees,
-    iter_degree_trees,
     oracle_count,
     oracle_find,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "extremal_order",
     "extremal_worst_sum",
     "find_spanning_tree",
-    "iter_degree_trees",
     "min_nonadjacent_degree_sum",
     "oracle_count",
     "oracle_find",

@@ -6,6 +6,8 @@ import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import compress
+from math import ceil
 from typing import Any
 
 Edge = tuple[int, int]
@@ -20,6 +22,7 @@ __all__ = [
     "serialize_graph",
     "min_nonadjacent_degree_sum",
     "normalized_edge",
+    "bounded_int",
     "random_condition_graph",
 ]
 
@@ -117,9 +120,9 @@ def parse_graph(text: str) -> LabelledGraph:
     collapse to a single edge; self-loops are an error.
 
     Each line is validated once and its edge goes straight into the
-    neighbour lists.  Numbers are compared by digit count before ``int()``
-    sees them, so an oversized count or endpoint is rejected with its line
-    number and without converting it or allocating for it.
+    neighbour lists.  Numbers are read by ``bounded_int``, so an oversized
+    count or endpoint is rejected with its line number and without
+    converting it or allocating for it.
 
     Endpoint tokens repeat across lines, so ``seen`` maps each token that
     has passed the full checks on an accepted edge line to its vertex.  A
@@ -132,7 +135,6 @@ def parse_graph(text: str) -> LabelledGraph:
     the checks alone.  ``seen`` holds only tokens that occur in the text.
     """
     n: int | None = None
-    width = 0  # digits in n
     adjacency: list[list[int]] = []
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -150,10 +152,9 @@ def parse_graph(text: str) -> LabelledGraph:
         if n is None:
             if not (line.isascii() and line.isdigit()):
                 raise GraphParseError(f"expected vertex count, got {line!r}", lineno)
-            n = int(_capped(line, len(str(MAX_N))))
-            if n > MAX_N:
+            n = bounded_int(line, MAX_N)
+            if n is None:
                 raise GraphParseError(f"vertex count exceeds the limit {MAX_N}", lineno)
-            width = len(str(n))
             adjacency = [[] for _ in range(n)]
             continue
         if len(parts) != 2:
@@ -161,11 +162,8 @@ def parse_graph(text: str) -> LabelledGraph:
         a, b = parts
         if not (line.isascii() and a.isdigit() and b.isdigit()):
             raise GraphParseError(f"endpoint not in digits 0-9 in {line!r}", lineno)
-        if len(a) > width or len(b) > width:
-            u, v = int(_capped(a, width)), int(_capped(b, width))
-        else:
-            u, v = int(a), int(b)
-        if u >= n or v >= n:
+        u, v = bounded_int(a, n - 1), bounded_int(b, n - 1)
+        if u is None or v is None:
             raise GraphParseError(f"vertex index out of range [0, {n}) in {line!r}", lineno)
         if u == v:
             raise GraphParseError(f"self-loop at vertex {u}", lineno)
@@ -178,14 +176,17 @@ def parse_graph(text: str) -> LabelledGraph:
     return LabelledGraph(n=n, adjacency=_freeze(adjacency))
 
 
-def _capped(digits: str, width: int) -> str:
-    """``digits`` without leading zeros, cut to ``width + 1`` digits.
+def bounded_int(digits: str, limit: int) -> int | None:
+    """The value of a run of ASCII digits 0-9 if it is at most ``limit``, else None.
 
-    A number of at most ``width`` digits keeps its value; a longer one stays
-    at least 10**width, so it still fails any bound below that, and ``int()``
-    never has to convert it.
+    Leading zeros are skipped and digit counts compared first, so ``int()``
+    never converts a run with more digits than ``limit``.
     """
-    return digits.lstrip("0")[: width + 1] or "0"
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(limit)):
+        return None
+    value = int(digits)
+    return value if value <= limit else None
 
 
 def serialize_graph(g: LabelledGraph) -> str:
@@ -258,6 +259,8 @@ def random_condition_graph(n: int, r: int, seed: int) -> LabelledGraph:
     pairs, adding the edge wherever a non-adjacent pair falls below the
     bound.  Degrees only grow during the sweep, so a pair that meets the
     bound when visited still meets it at the end.  Deterministic in seed.
+    One ``bytearray`` row per vertex holds the graph in about n^2 bytes;
+    the neighbour tuples are cut from one shared tuple of all vertices.
     """
     from .condition import degree_sum_threshold
 
@@ -265,23 +268,22 @@ def random_condition_graph(n: int, r: int, seed: int) -> LabelledGraph:
         raise ValueError(f"need 4 <= n <= generator limit {MAX_GENERATED_N}, got {n}")
     if r < 2:
         raise ValueError("need r >= 2")
-    bound = degree_sum_threshold(n, r)
+    need = ceil(degree_sum_threshold(n, r))  # an int sum is below the bound iff below this
     rng = random.Random(seed)
     p = rng.uniform(0.2, 0.8)
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-
-    def add(u: int, v: int) -> None:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-
+    rows = [bytearray(n) for _ in range(n)]
     for u in range(n):
+        row = rows[u]
         for v in range(u + 1, n):
             if rng.random() < p:
-                add(u, v)
+                row[v] = rows[v][u] = 1
+    degree = [row.count(1) for row in rows]
     for u in range(n):
+        row = rows[u]
         for v in range(u + 1, n):
-            if v not in adjacency[u] and len(adjacency[u]) + len(adjacency[v]) < bound:
-                add(u, v)
-    return LabelledGraph.from_edges(
-        n, ((u, v) for u in range(n) for v in adjacency[u] if u < v)
-    )
+            if not row[v] and degree[u] + degree[v] < need:
+                row[v] = rows[v][u] = 1
+                degree[u] += 1
+                degree[v] += 1
+    vertices = tuple(range(n))
+    return LabelledGraph(n=n, adjacency=tuple(tuple(compress(vertices, row)) for row in rows))

@@ -9,17 +9,17 @@ then a per-edge check, aborted at the first missing edge.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import factorial, prod
 
-from .graph import LabelledGraph
-from .sequences import DegreeSequence, canonical_word, prufer_decode, prufer_edges
+from .graph import Edge, LabelledGraph
+from .sequences import DegreeSequence, canonical_word, prufer_edges
 from .tree import LabelledTree
 
 __all__ = [
     "DEFAULT_BUDGET",
     "OracleBudgetError",
     "count_trees",
-    "iter_degree_trees",
     "oracle_find",
     "oracle_count",
 ]
@@ -62,27 +62,25 @@ def _next_permutation(a: list[int]) -> bool:
     return True
 
 
-def _iter_words(seq: DegreeSequence):
-    # Yields one live list, mutated between yields; callers must not hold it.
-    word = list(canonical_word(seq))
-    yield word
-    while _next_permutation(word):
-        yield word
+def _contained_trees(g: LabelledGraph, seq: DegreeSequence, budget: int) -> Iterator[list[Edge]]:
+    """Edge lists of the trees with this degree vector that lie inside g.
 
-
-def iter_degree_trees(seq: DegreeSequence):
-    """All labelled trees with this degree vector, each exactly once."""
-    for word in _iter_words(seq):
-        yield prufer_decode(word, seq.n)
-
-
-def _check_instance(g: LabelledGraph, seq: DegreeSequence, budget: int) -> int:
-    if g.n != seq.n:
-        raise ValueError(f"graph order {g.n} != sequence length {seq.n}")
+    Checks the instance before decoding any word, then walks the words in
+    lexicographic order and yields each contained tree's edges.
+    """
+    n = seq.n
+    if g.n != n:
+        raise ValueError(f"graph order {g.n} != sequence length {n}")
     total = count_trees(seq)
     if total > budget:
         raise OracleBudgetError(total, budget)
-    return total
+    word = list(canonical_word(seq))
+    more = True
+    while more:
+        edges = prufer_edges(word, n, g.are_adjacent)
+        if edges is not None:
+            yield edges
+        more = _next_permutation(word)
 
 
 def oracle_find(
@@ -93,19 +91,10 @@ def oracle_find(
     The walk is exhaustive, so None is a proof that no spanning tree of g
     has this degree vector.  Refuses oversized enumerations outright.
     """
-    _check_instance(g, seq, budget)
-    for word in _iter_words(seq):
-        edges = prufer_edges(word, seq.n, g.are_adjacent)
-        if edges is not None:
-            return LabelledTree.from_edges(seq.n, edges)
-    return None
+    edges = next(_contained_trees(g, seq, budget), None)
+    return None if edges is None else LabelledTree.from_edges(seq.n, edges)
 
 
 def oracle_count(g: LabelledGraph, seq: DegreeSequence, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of spanning trees of g with this degree vector."""
-    _check_instance(g, seq, budget)
-    found = 0
-    for word in _iter_words(seq):
-        if prufer_edges(word, seq.n, g.are_adjacent) is not None:
-            found += 1
-    return found
+    return sum(1 for _ in _contained_trees(g, seq, budget))

@@ -13,7 +13,7 @@ import random
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
-from .graph import Edge
+from .graph import MAX_N, Edge, bounded_int
 from .tree import LabelledTree, tree_defect
 
 __all__ = [
@@ -33,9 +33,9 @@ __all__ = [
 class SequenceError(ValueError):
     """Invalid target degree sequence; ``code`` tells which rule failed.
 
-    Codes: "length" (fewer than two entries), "entry" (a literal field
-    that is not digits 0-9, or a non-integral, zero or negative degree),
-    "sum" (total is not 2(n-1)).
+    Codes: "length" (fewer than two entries, or over ``MAX_N``), "entry"
+    (a literal field that is not digits 0-9 or is over ``MAX_N``, or a
+    non-integral, zero or negative degree), "sum" (total is not 2(n-1)).
     """
 
     def __init__(self, message: str, code: str) -> None:
@@ -86,15 +86,25 @@ def parse_sequence_literal(text: str) -> DegreeSequence:
     """Parse a comma-separated degree literal such as "3,1,1,1".
 
     Each field, stripped of surrounding whitespace, must be a non-empty
-    run of ASCII digits 0-9.
+    run of ASCII digits 0-9.  At most ``MAX_N`` entries, counted by commas
+    before the split, each at most ``MAX_N``, read by ``bounded_int``.
     """
     if not text.strip():
         raise SequenceError("empty sequence literal", code="length")
+    entries = text.count(",") + 1
+    if entries > MAX_N:
+        raise SequenceError(f"{entries} entries exceed the limit {MAX_N}", code="length")
     fields = [p.strip() for p in text.split(",")]
     for i, p in enumerate(fields):
         if not (p.isascii() and p.isdigit()):
             raise SequenceError(f"entry {p!r} at position {i} is not in digits 0-9", code="entry")
-    return validate_degree_sequence([int(p) for p in fields])
+    degrees: list[int] = []
+    for i, p in enumerate(fields):
+        d = bounded_int(p, MAX_N)
+        if d is None:
+            raise SequenceError(f"entry at position {i} exceeds the limit {MAX_N}", code="entry")
+        degrees.append(d)
+    return validate_degree_sequence(degrees)
 
 
 def canonical_word(seq: DegreeSequence) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ import degspan.cli
 import degspan.solver
 from degspan import (
     LabelledTree,
+    SolveResult,
     VerifyResult,
     parse_graph,
     serialize_graph,
@@ -399,6 +400,28 @@ class TestBatch:
         assert len(lines) == 5
         for i, line in enumerate(lines):
             assert re.fullmatch(rf"instance {i}: n=\d+ exchanges=\d+ ok=True", line)
+
+    @pytest.mark.parametrize("attr, fake, solved, reason", [
+        ("find_spanning_tree", lambda g, seq: SolveResult(None, None, ()), 0, "stalled"),
+        ("verify_tree", lambda g, t, seq: VerifyResult(False, "forged reason"), 2, "forged reason"),
+    ])
+    def test_failures_are_listed_and_exit_1(self, capsys, monkeypatch, attr, fake, solved, reason):
+        monkeypatch.setattr(degspan.cli, attr, fake)
+        argv = ("batch", "--n-min", "8", "--n-max", "8", "--r", "3", "--count", "2")
+        failures = [f"instance {i} (n=8, r=3): {reason}" for i in range(2)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (1, "")
+        head, *listed = out.splitlines()
+        assert re.fullmatch(
+            rf"instances: 2 solved: {solved} verified: 0 max_exchanges: \d+ failures: 2", head
+        )
+        assert listed == [f"  {line}" for line in failures]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        jsonschema.validate(payload, BATCH_SUMMARY)
+        assert (payload["solved"], payload["verified"]) == (solved, 0)
+        assert payload["failures"] == failures
 
     def test_run_batch_deterministic(self):
         a = run_batch(8, 12, 3, 5, base_seed=3)

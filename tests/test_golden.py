@@ -48,6 +48,8 @@ CASES: dict[str, list[str]] = {
     "realize-invalid": ["realize", "--seq", "3,3,1,1"],
     "realize-empty-entry": ["realize", "--seq", "2,,1,1"],
     "realize-underscore-entry": ["realize", "--seq", "1_1,1,1,1,1,1,1,1,1,1,1,1"],
+    # one 5,000-digit entry: past int()'s default 4,300-digit limit, rejected by length
+    "realize-oversized-entry": ["realize", "--seq", "@{inputs}/oversized-entry.seq"],
     "oracle-find-found": ["oracle-find", "--graph", HOST, "--seq", HOST_SEQ],
     "oracle-find-none": ["oracle-find", "--graph", STALL, "--seq", STALL_SEQ],
     "oracle-count-positive": ["oracle-count", "--graph", HOST, "--seq", HOST_SEQ],
@@ -106,6 +108,12 @@ def test_nbsp_endpoint_names_its_line():
     code, out, err = run("check-nbsp-endpoint", "text")
     assert (code, out) == (2, "")
     assert err.endswith("line 4: endpoint not in digits 0-9 in '0\\xa01'\n")
+
+
+def test_oversized_entry_names_its_position():
+    code, out, err = run("realize-oversized-entry", "text")
+    assert (code, out) == (2, "")
+    assert err == "error: entry at position 0 exceeds the limit 1000000\n"
 
 
 def record() -> None:

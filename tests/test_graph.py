@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -9,6 +10,7 @@ from degspan import (
     GraphParseError,
     LabelledGraph,
     check_condition,
+    degree_sum_threshold,
     min_nonadjacent_degree_sum,
     parse_graph,
     random_condition_graph,
@@ -16,7 +18,7 @@ from degspan import (
 )
 from degspan.cli import run_batch
 from degspan.extremal import build_extremal, extremal_order
-from degspan.graph import MAX_GENERATED_N, MAX_N, normalized_edge
+from degspan.graph import MAX_GENERATED_N, MAX_N, bounded_int, normalized_edge
 from support import all_labelled_graphs, complete_graph, graphs, path_graph
 
 
@@ -135,6 +137,22 @@ class TestParse:
             assert error.line == 3
             assert "vertex index out of range [0, 3)" in str(error)
             assert peak < 100_000
+
+
+def test_bounded_int():
+    cases = [
+        ("0", 0, 0),
+        ("000", 5, 0),
+        ("0007", 7, 7),
+        ("8", 7, None),
+        ("0", -1, None),
+        (str(MAX_N), MAX_N, MAX_N),
+        ("0" * 5000 + str(MAX_N), MAX_N, MAX_N),
+        (str(MAX_N + 1), MAX_N, None),
+        ("9" * 5000, MAX_N, None),  # int() refuses more than 4300 digits by default
+    ]
+    for digits, limit, value in cases:
+        assert bounded_int(digits, limit) == value
 
 
 def _rejection(text):
@@ -474,6 +492,44 @@ class TestRandomConditionGraph:
             random_condition_graph(3, 3, seed=0)
         with pytest.raises(ValueError):
             random_condition_graph(10, 1, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, r", [(n, r) for n in (4, 5, 9, 16, 33, 60) for r in (2, 3, 4, 6) if n >= r + 1]
+    )
+    def test_same_graphs_as_the_set_based_generator(self, n, r):
+        for seed in range(5):
+            assert random_condition_graph(n, r, seed) == set_based_condition_graph(n, r, seed)
+
+    def test_memory_stays_near_one_byte_per_vertex_pair(self):
+        n = 600
+        random_condition_graph(4, 3, seed=0)  # imports the threshold outside the trace
+        tracemalloc.start()
+        try:
+            g = random_condition_graph(n, 3, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == n
+        assert peak <= 16 * n * n
+
+
+def set_based_condition_graph(n, r, seed):
+    """``random_condition_graph`` as it was written with one set per vertex."""
+    bound = degree_sum_threshold(n, r)
+    rng = random.Random(seed)
+    p = rng.uniform(0.2, 0.8)
+    adjacency = [set() for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if v not in adjacency[u] and len(adjacency[u]) + len(adjacency[v]) < bound:
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+    return LabelledGraph.from_edges(n, ((u, v) for u in range(n) for v in adjacency[u] if u < v))
 
 
 class TestGeneratorLimit:

@@ -10,7 +10,6 @@ from degspan import (
     build_extremal,
     canonical_word,
     count_trees,
-    iter_degree_trees,
     oracle_count,
     oracle_find,
     prufer_decode,
@@ -18,6 +17,16 @@ from degspan import (
     validate_degree_sequence,
 )
 from support import all_degree_sequences, all_labelled_graphs, complete_graph, graph_with_sequence
+
+
+def degree_trees(seq):
+    """Every tree with this degree vector, in lexicographic word order.
+
+    Plain enumeration, independent of the oracle's walk: every distinct
+    rearrangement of the canonical word, sorted and decoded.
+    """
+    words = sorted(set(itertools.permutations(canonical_word(seq))))
+    return [prufer_decode(word, seq.n) for word in words]
 
 
 class TestCountTrees:
@@ -36,7 +45,7 @@ class TestCountTrees:
     def test_matches_explicit_enumeration(self):
         for degrees in ([2, 2, 1, 1], [3, 3, 1, 1, 1, 1], [2, 3, 2, 1, 1, 1]):
             seq = validate_degree_sequence(degrees)
-            trees = list(iter_degree_trees(seq))
+            trees = degree_trees(seq)
             assert len(trees) == count_trees(seq)
             assert len({t.edges for t in trees}) == len(trees)
             for t in trees:
@@ -59,7 +68,7 @@ class TestCayleyCompleteness:
         }
         enumerated = set()
         for s in all_degree_sequences(n, n - 1):
-            for t in iter_degree_trees(validate_degree_sequence(s)):
+            for t in degree_trees(validate_degree_sequence(s)):
                 enumerated.add(t.edges)
         assert enumerated == everything
 
@@ -129,14 +138,8 @@ class TestOracleCount:
 
 
 def reference_contained_trees(g, seq):
-    """Contained trees in lexicographic word order, by plain enumeration.
-
-    Independent of the oracle's walk: every distinct rearrangement of the
-    canonical word, sorted, decoded, and tested edge by edge.
-    """
-    words = sorted(set(itertools.permutations(canonical_word(seq))))
-    trees = (prufer_decode(word, seq.n) for word in words)
-    return [t for t in trees if all(g.are_adjacent(*e) for e in t.edges)]
+    """Contained trees in lexicographic word order, tested edge by edge."""
+    return [t for t in degree_trees(seq) if all(g.are_adjacent(*e) for e in t.edges)]
 
 
 class TestOracleReference:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from degspan import (
     realize_tree,
     validate_degree_sequence,
 )
+from degspan.graph import MAX_N
 from degspan.tree import tree_defect
 from support import degree_sequences, prufer_words
 
@@ -95,6 +97,34 @@ class TestLiteral:
         with pytest.raises(SequenceError) as exc:
             parse_sequence_literal(f"2, {token} ,1,1\n")
         assert exc.value.code == "entry"
+
+
+    def test_leading_zeros_are_read_as_decimal(self):
+        assert parse_sequence_literal("0003,1,1,1").degrees == (3, 1, 1, 1)
+
+    @pytest.mark.parametrize("text, position", [
+        ("9" * 5000 + ",1,1", 0),  # int() refuses more than 4300 digits by default
+        (f"1,{MAX_N + 1},1", 1),
+        ("1,1," + "9" * 4000, 2),
+    ], ids=["5000-digits", "max-n-plus-1", "4000-digits"])
+    def test_entry_over_the_limit_names_its_position(self, text, position):
+        with pytest.raises(SequenceError) as exc:
+            parse_sequence_literal(text)
+        assert exc.value.code == "entry"
+        assert str(exc.value) == f"entry at position {position} exceeds the limit {MAX_N}"
+
+    def test_too_many_entries_are_rejected_before_splitting(self):
+        text = ",".join(["1"] * (MAX_N + 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SequenceError) as exc:
+                parse_sequence_literal(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == "length"
+        assert str(exc.value) == f"{MAX_N + 1} entries exceed the limit {MAX_N}"
+        assert peak < 2 * len(text)
 
 
 class TestDecode:

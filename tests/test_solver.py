@@ -439,6 +439,20 @@ class TestWitness:
         forged = build_witness(g4, cyclic, f, compute_cut_sets(g4, f), r=3)
         assert not validate_witness(g4, forged)
 
+    def test_witness_of_another_split_fails_validation(self):
+        g, seq = build_extremal(2, 3)
+        w = find_spanning_tree(g, seq).witness
+        assert validate_witness(g, w)
+        assert (w.u, w.v) == (1, 2) and not w.tree.are_adjacent(0, 2)
+        # (0, 2) is no tree edge, so the tree has no split there
+        assert not validate_witness(g, dataclasses.replace(w, u=0, v=2))
+        # (1, 2) is then a graph edge, not a missing one
+        assert not validate_witness(LabelledGraph.from_edges(10, (*g.edges, (1, 2))), w)
+        # with (0, 2) in the graph the split at (1, 2) has an exchange
+        g02 = LabelledGraph.from_edges(10, (*g.edges, (0, 2)))
+        assert compute_cut_sets(g02, orient_forest(w.tree, 1, 2)).candidate is not None
+        assert not validate_witness(g02, w)
+
     @settings(deadline=None)
     @given(graph_with_sequence(min_n=4, max_n=8, cap=3))
     def test_any_emitted_witness_validates(self, case):
@@ -452,6 +466,18 @@ class TestWitness:
 
 
 class TestVerifyTree:
+    def test_tree_order_mismatch(self):
+        star = LabelledTree.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        out = verify_tree(complete_graph(5), star, validate_degree_sequence([3, 1, 1, 1]))
+        assert not out
+        assert out.reason == "order mismatch: tree 4, graph 5"
+
+    def test_sequence_order_mismatch(self):
+        star = LabelledTree.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        out = verify_tree(complete_graph(4), star, validate_degree_sequence([2, 2, 2, 1, 1]))
+        assert not out
+        assert out.reason == "order mismatch: sequence 5, graph 4"
+
     def test_accepts_solver_output(self):
         g = random_condition_graph(12, 3, seed=9)
         seq = random_degree_sequence(12, 3, random.Random(9))
