@@ -34,7 +34,6 @@ from .sequences import (
     canonical_word,
     parse_sequence_literal,
     prufer_decode,
-    prufer_encode,
     random_degree_sequence,
     realize_tree,
     validate_degree_sequence,
@@ -86,7 +85,6 @@ __all__ = [
     "parse_graph",
     "parse_sequence_literal",
     "prufer_decode",
-    "prufer_encode",
     "random_condition_graph",
     "random_degree_sequence",
     "realize_tree",

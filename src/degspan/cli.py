@@ -65,8 +65,8 @@ def _cmd_solve(args: argparse.Namespace) -> Report:
         f"component sizes: {w.size_u} + {w.size_v} = {w.size_u + w.size_v}\n"
         f"counts: hooks_u={w.hooks_u} bridges_u={w.bridges_u}"
         f" hooks_v={w.hooks_v} bridges_v={w.bridges_v}\n"
-        f"        u_nbrs_same={w.u_nbrs_same} u_nbrs_other={w.u_nbrs_other}"
-        f" v_nbrs_same={w.v_nbrs_same} v_nbrs_other={w.v_nbrs_other}\n"
+        f"        u_nbrs_same={w.u_nbrs_same} u_nbrs_other={w.bridges_v}"
+        f" v_nbrs_same={w.v_nbrs_same} v_nbrs_other={w.bridges_u}\n"
         f"deg(u)+deg(v) = {w.degree_sum}; {final.label}: {final.lhs} <= {final.rhs}\n"
     )
     return Report({"status": "stalled", "witness": w.to_json_dict()}, text, 1)
@@ -192,6 +192,11 @@ def run_batch(
         raise ValueError(f"instance count must be non-negative, got {count}")
     if n_max > MAX_GENERATED_N:
         raise ValueError(f"order {n_max} exceeds the generator limit {MAX_GENERATED_N}")
+    if r < 2:
+        raise ValueError(f"need r >= 2, got {r}")
+    # the generator's floor and degree_sum_threshold's precondition
+    if n_min < max(4, r + 1):
+        raise ValueError(f"need n-min >= {max(4, r + 1)} for r = {r}, got {n_min}")
     solved = 0
     verified = 0
     max_exchanges = 0

@@ -1,7 +1,7 @@
-"""Prescribed tree degree sequences and the Prüfer codec realizing them.
+"""Prescribed tree degree sequences and the Prüfer decoder realizing them.
 
 A list of positive integers is realizable as the degree vector of a
-labelled tree exactly when it sums to 2(n-1).  The codec fixes one such
+labelled tree exactly when it sums to 2(n-1).  The decoder fixes one such
 tree deterministically: vertex i appears degree(i) - 1 times in the code
 word, and decoding follows the smallest-leaf-first rule.
 """
@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from .graph import MAX_N, Edge, bounded_int
-from .tree import LabelledTree, tree_defect
+from .tree import LabelledTree
 
 __all__ = [
     "SequenceError",
@@ -24,7 +24,6 @@ __all__ = [
     "canonical_word",
     "prufer_decode",
     "prufer_edges",
-    "prufer_encode",
     "realize_tree",
     "random_degree_sequence",
 ]
@@ -62,10 +61,10 @@ def validate_degree_sequence(degrees: Iterable[int]) -> DegreeSequence:
     """Check for positive integers summing to 2(n-1); return the validated sequence.
 
     These conditions are exactly tree realizability, and they force
-    every entry to be at most n - 1.
+    every entry to be at most n - 1.  A tuple of ``int`` is kept as given.
     """
     raw = tuple(degrees)
-    ds = tuple(int(d) for d in raw)
+    ds = raw if all(type(d) is int for d in raw) else tuple(int(d) for d in raw)
     n = len(ds)
     if n < 2:
         raise SequenceError(f"need at least two entries, got {n}", code="length")
@@ -87,19 +86,19 @@ def parse_sequence_literal(text: str) -> DegreeSequence:
 
     Each field, stripped of surrounding whitespace, must be a non-empty
     run of ASCII digits 0-9.  At most ``MAX_N`` entries, counted by commas
-    before the split, each at most ``MAX_N``, read by ``bounded_int``.
+    before the split, each at most ``MAX_N``, read by ``bounded_int``.  The
+    first bad field by position is reported.
     """
     if not text.strip():
         raise SequenceError("empty sequence literal", code="length")
     entries = text.count(",") + 1
     if entries > MAX_N:
         raise SequenceError(f"{entries} entries exceed the limit {MAX_N}", code="length")
-    fields = [p.strip() for p in text.split(",")]
-    for i, p in enumerate(fields):
+    degrees: list[int] = []
+    for i, p in enumerate(text.split(",")):
+        p = p.strip()
         if not (p.isascii() and p.isdigit()):
             raise SequenceError(f"entry {p!r} at position {i} is not in digits 0-9", code="entry")
-    degrees: list[int] = []
-    for i, p in enumerate(fields):
         d = bounded_int(p, MAX_N)
         if d is None:
             raise SequenceError(f"entry at position {i} exceeds the limit {MAX_N}", code="entry")
@@ -161,30 +160,6 @@ def prufer_decode(word: Sequence[int], n: int) -> LabelledTree:
         if not (0 <= w < n):
             raise ValueError(f"word entry {w} out of range [0, {n})")
     return LabelledTree.from_edges(n, prufer_edges(word, n, _accept_all))
-
-
-def prufer_encode(tree: LabelledTree) -> tuple[int, ...]:
-    """Code word of a labelled tree; inverse of :func:`prufer_decode`.
-
-    Raises ValueError when the input is not a tree (cycle or disconnected).
-    """
-    if tree_defect(tree) is not None:
-        raise ValueError("input is not a tree (cycle or disconnected)")
-    n = tree.n
-    if n == 2:
-        return ()
-    adj = [set(a) for a in tree.adjacency]
-    leaves = [v for v in range(n) if len(adj[v]) == 1]
-    heapq.heapify(leaves)
-    word: list[int] = []
-    for _ in range(n - 2):
-        leaf = heapq.heappop(leaves)
-        parent = adj[leaf].pop()
-        adj[parent].discard(leaf)
-        word.append(parent)
-        if len(adj[parent]) == 1:
-            heapq.heappush(leaves, parent)
-    return tuple(word)
 
 
 def realize_tree(seq: DegreeSequence) -> LabelledTree:

@@ -178,10 +178,8 @@ class InfeasibilityWitness:
     bridges_u: int
     hooks_v: int
     bridges_v: int
-    u_nbrs_same: int
-    u_nbrs_other: int
+    u_nbrs_same: int  # u's other-side neighbours are bridges_v, v's are bridges_u
     v_nbrs_same: int
-    v_nbrs_other: int
     degree_sum: int  # deg(u) + deg(v) in the host graph
     chain: tuple[Inequality, ...]
     contradicts_condition: bool
@@ -199,9 +197,9 @@ class InfeasibilityWitness:
                 "hooks_v": self.hooks_v,
                 "bridges_v": self.bridges_v,
                 "u_nbrs_same": self.u_nbrs_same,
-                "u_nbrs_other": self.u_nbrs_other,
+                "u_nbrs_other": self.bridges_v,
                 "v_nbrs_same": self.v_nbrs_same,
-                "v_nbrs_other": self.v_nbrs_other,
+                "v_nbrs_other": self.bridges_u,
             },
             "degree_sum": self.degree_sum,
             "contradicts_condition": self.contradicts_condition,
@@ -393,12 +391,12 @@ def _witness_chain(
          len(c.hooks_v & c.bridges_v), c.v_nbrs_same),
     )
     for near, far, size, hooks, bridges, overlap, near_same in sides:
-        far_other = bridges  # the far root's neighbours here are this side's bridges
+        # the far root's neighbours on this side are this side's bridges
         chain.append(
             Inequality(f"|hooks_{near} & bridges_{near}| == 0", overlap, "==", 0)
         )
         chain.append(
-            Inequality(f"|bridges_{near}| == {far}_nbrs_other", bridges, "==", far_other)
+            Inequality(f"|bridges_{near}| == {far}_nbrs_other", bridges, "==", bridges)
         )
         chain.append(
             Inequality(f"{near}_nbrs_same <= (r-1)*|hooks_{near}|",
@@ -414,13 +412,13 @@ def _witness_chain(
         chain.append(
             Inequality(
                 f"{near}_nbrs_same + (r-1)*{far}_nbrs_other <= (r-1)*size_{near}",
-                near_same + (r - 1) * far_other, "<=", (r - 1) * size,
+                near_same + (r - 1) * bridges, "<=", (r - 1) * size,
             )
         )
         chain.append(
             Inequality(
                 f"(r-1)*({near}_nbrs_same + {far}_nbrs_other) <= (2r-3)*size_{near} - (r-2)",
-                (r - 1) * (near_same + far_other), "<=", (2 * r - 3) * size - (r - 2),
+                (r - 1) * (near_same + bridges), "<=", (2 * r - 3) * size - (r - 2),
             )
         )
     chain.append(Inequality("deg(u) == u_nbrs_same + u_nbrs_other",
@@ -466,9 +464,7 @@ def build_witness(
         hooks_v=len(c.hooks_v),
         bridges_v=len(c.bridges_v),
         u_nbrs_same=c.u_nbrs_same,
-        u_nbrs_other=len(c.bridges_v),
         v_nbrs_same=c.v_nbrs_same,
-        v_nbrs_other=len(c.bridges_u),
         degree_sum=deg_u + deg_v,
         chain=chain,
         contradicts_condition=contradicts,

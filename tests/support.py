@@ -1,13 +1,15 @@
-"""Shared builders, enumerators, and hypothesis strategies for the tests."""
+"""Shared builders, enumerators, strategies and a reference Prüfer encoder for tests."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections.abc import Iterator
 
 from hypothesis import strategies as st
 
-from degspan import DegreeSequence, LabelledGraph, validate_degree_sequence
+from degspan import DegreeSequence, LabelledGraph, LabelledTree, validate_degree_sequence
+from degspan.tree import tree_defect
 
 
 def complete_graph(n: int) -> LabelledGraph:
@@ -21,6 +23,30 @@ def path_graph(n: int) -> LabelledGraph:
 def cycle_graph(n: int) -> LabelledGraph:
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     return LabelledGraph.from_edges(n, edges)
+
+
+def prufer_encode(tree: LabelledTree) -> tuple[int, ...]:
+    """Reference code word of a labelled tree; inverse of ``prufer_decode``.
+
+    Raises ValueError when the input is not a tree (cycle or disconnected).
+    """
+    if tree_defect(tree) is not None:
+        raise ValueError("input is not a tree (cycle or disconnected)")
+    n = tree.n
+    if n == 2:
+        return ()
+    adj = [set(a) for a in tree.adjacency]
+    leaves = [v for v in range(n) if len(adj[v]) == 1]
+    heapq.heapify(leaves)
+    word: list[int] = []
+    for _ in range(n - 2):
+        leaf = heapq.heappop(leaves)
+        parent = adj[leaf].pop()
+        adj[parent].discard(leaf)
+        word.append(parent)
+        if len(adj[parent]) == 1:
+            heapq.heappush(leaves, parent)
+    return tuple(word)
 
 
 def all_degree_sequences(n: int, cap: int) -> Iterator[tuple[int, ...]]:

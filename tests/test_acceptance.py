@@ -23,7 +23,6 @@ from degspan import (
     oracle_count,
     oracle_find,
     prufer_decode,
-    prufer_encode,
     random_condition_graph,
     random_degree_sequence,
     realize_tree,
@@ -31,7 +30,7 @@ from degspan import (
     validate_witness,
     verify_tree,
 )
-from support import all_degree_sequences, all_labelled_graphs
+from support import all_degree_sequences, all_labelled_graphs, prufer_encode
 
 
 @contextmanager

@@ -423,6 +423,23 @@ class TestBatch:
         assert (payload["solved"], payload["verified"]) == (solved, 0)
         assert payload["failures"] == failures
 
+    def test_bad_order_floor_exits_2_before_any_instance(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(degspan.cli, "find_spanning_tree", lambda g, seq: calls.append(g))
+        code, out, err = run_cli(capsys, "batch", "--n-min", "2", "--n-max", "10", "--count", "50")
+        assert (code, out, calls) == (2, "", [])
+        assert err == "error: need n-min >= 4 for r = 3, got 2\n"
+
+    def test_r_below_2_exits_2_even_with_no_instances(self, capsys):
+        code, out, err = run_cli(
+            capsys, "batch", "--n-min", "8", "--n-max", "9", "--r", "1", "--count", "0"
+        )
+        assert (code, out, err) == (2, "", "error: need r >= 2, got 1\n")
+        code, _, err = run_cli(
+            capsys, "batch", "--n-min", "4", "--n-max", "9", "--r", "4", "--count", "0"
+        )
+        assert (code, err) == (2, "error: need n-min >= 5 for r = 4, got 4\n")
+
     def test_run_batch_deterministic(self):
         a = run_batch(8, 12, 3, 5, base_seed=3)
         b = run_batch(8, 12, 3, 5, base_seed=3)

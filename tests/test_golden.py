@@ -70,6 +70,7 @@ CASES: dict[str, list[str]] = {
     "batch-empty-range": ["batch", "--n-min", "9", "--n-max", "8", "--count", "3"],
     "batch-count-0": ["batch", "--n-min", "8", "--n-max", "9", "--count", "0"],
     "batch-negative-count": ["batch", "--n-min", "8", "--n-max", "9", "--count", "-3"],
+    "batch-r1": ["batch", "--n-min", "8", "--n-max", "9", "--r", "1", "--count", "0"],
     "batch-oversized": ["batch", "--n-min", "2001", "--n-max", "2001", "--count", "1"],
 }
 

@@ -361,6 +361,11 @@ class TestAdjacency:
         with pytest.raises(ValueError):
             LabelledGraph.from_edges(3, [(1, 1)])
 
+    def test_construction_rejects_negative_count(self):
+        with pytest.raises(ValueError) as exc:
+            LabelledGraph.from_edges(-1, [])
+        assert str(exc.value) == "vertex count must be non-negative"
+
 
 def brute_min_pair(g):
     """Reference scan of every pair: the lexicographically first minimizer, with its sum."""

@@ -11,14 +11,13 @@ from degspan import (
     canonical_word,
     parse_sequence_literal,
     prufer_decode,
-    prufer_encode,
     random_degree_sequence,
     realize_tree,
     validate_degree_sequence,
 )
 from degspan.graph import MAX_N
 from degspan.tree import tree_defect
-from support import degree_sequences, prufer_words
+from support import degree_sequences, prufer_encode, prufer_words
 
 
 class TestValidate:
@@ -46,6 +45,19 @@ class TestValidate:
             with pytest.raises(SequenceError) as exc:
                 validate_degree_sequence(bad)
             assert exc.value.code == "entry"
+
+    def test_tuple_of_ints_is_kept_and_other_numbers_converted(self):
+        degrees = (2, 1, 1)
+        assert validate_degree_sequence(degrees).degrees is degrees
+        seq = validate_degree_sequence([2.0, 1, 1])
+        assert seq.degrees == (2, 1, 1)
+        assert all(type(d) is int for d in seq.degrees)
+        with pytest.raises(SequenceError) as exc:
+            validate_degree_sequence([2.7, 1, 1])
+        assert str(exc.value) == "entry 2.7 at position 0 is not an integer"
+        with pytest.raises(SequenceError) as exc:
+            validate_degree_sequence([0])
+        assert exc.value.code == "length"
 
     def test_too_short(self):
         with pytest.raises(SequenceError) as exc:
@@ -126,6 +138,23 @@ class TestLiteral:
         assert str(exc.value) == f"{MAX_N + 1} entries exceed the limit {MAX_N}"
         assert peak < 2 * len(text)
 
+    def test_literal_of_max_n_entries_peaks_below_ten_times_its_text(self):
+        text = ",".join(["2"] * (MAX_N - 2) + ["1", "1"])
+        tracemalloc.start()
+        try:
+            seq = parse_sequence_literal(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seq.degrees == (2,) * (MAX_N - 2) + (1, 1)
+        assert peak <= 10 * len(text)
+
+    def test_first_bad_field_by_position_is_reported(self):
+        with pytest.raises(SequenceError) as exc:
+            parse_sequence_literal("9999999,x,1")
+        assert exc.value.code == "entry"
+        assert str(exc.value) == f"entry at position 0 exceeds the limit {MAX_N}"
+
 
 class TestDecode:
     def test_empty_word(self):
@@ -141,6 +170,11 @@ class TestDecode:
         t = prufer_decode([3, 3, 3, 4], 6)
         assert t.degree_vector() == (1, 1, 1, 4, 2, 1)
         assert t.edges == ((0, 3), (1, 3), (2, 3), (3, 4), (4, 5))
+
+    def test_needs_two_vertices(self):
+        with pytest.raises(ValueError) as exc:
+            prufer_decode([], 1)
+        assert str(exc.value) == "need n >= 2"
 
     def test_entry_out_of_range(self):
         with pytest.raises(ValueError):
@@ -253,6 +287,11 @@ class TestRandomSequence:
         a = random_degree_sequence(15, 3, random.Random(5))
         b = random_degree_sequence(15, 3, random.Random(5))
         assert a == b
+
+    def test_needs_two_vertices(self):
+        with pytest.raises(ValueError) as exc:
+            random_degree_sequence(1, 3, random.Random(0))
+        assert str(exc.value) == "need n >= 2"
 
     def test_rejects_impossible_cap(self):
         with pytest.raises(ValueError):

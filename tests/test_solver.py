@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 import degspan.solver
 from degspan import (
+    Exchange,
     LabelledGraph,
     LabelledTree,
     SolverInvariantError,
@@ -65,6 +66,19 @@ class TestOrientForest:
         path = LabelledTree.from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError):
             orient_forest(path, 0, 2)
+
+    def test_rejects_out_of_range_vertex(self):
+        path = LabelledTree.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError) as exc:
+            orient_forest(path, 2, 3)
+        assert str(exc.value) == "vertices (2, 3) out of range"
+
+    def test_rejects_split_that_misses_vertices(self):
+        # a triangle plus a separate edge: splitting (3, 4) reaches only 3 and 4
+        t = LabelledTree.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+        with pytest.raises(ValueError) as exc:
+            orient_forest(t, 3, 4)
+        assert str(exc.value) == "input is not a tree: some vertices unreachable from the split"
 
     def test_argument_order_does_not_matter(self):
         # Vertex 3 hangs off root 0; the exchange is on 0's side either way.
@@ -173,6 +187,13 @@ class TestApplyExchange:
         t2 = apply_exchange(t, c.candidate)
         with pytest.raises(SolverInvariantError):
             apply_exchange(t2, c.candidate)
+
+    def test_exchange_naming_vertex_n_is_an_internal_error(self):
+        t = LabelledTree.from_edges(4, [(0, 1), (1, 2), (0, 3)])
+        x = Exchange(side="u", drop_foreign=(0, 3), drop_tree=(1, 2), add_1=(0, 2), add_2=(3, 4))
+        with pytest.raises(SolverInvariantError) as exc:
+            apply_exchange(t, x)
+        assert str(exc.value) == f"exchange {x} names a vertex outside the tree"
 
 
 class TestFindSpanningTree:
