@@ -7,10 +7,9 @@ import functools
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .condition import check_condition
 from .extremal import build_extremal, extremal_worst_sum
@@ -24,8 +23,7 @@ from .solver import SolverInvariantError, find_spanning_tree, verify_tree
 __all__ = ["main", "entrypoint", "run_batch", "BatchSummary"]
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """One subcommand's result: its JSON payload, its text form and its exit code."""
 
     payload: dict[str, Any]
@@ -152,8 +150,7 @@ def _cmd_extremal(args: argparse.Namespace) -> Report:
     return Report(payload, text, 0 if ok else 1)
 
 
-@dataclass(frozen=True)
-class BatchSummary:
+class BatchSummary(NamedTuple):
     """Aggregate outcome of one randomized ensemble run."""
 
     instances: int

@@ -9,17 +9,15 @@ as small as 1/(r-1), which float arithmetic would blur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from .graph import LabelledGraph, min_nonadjacent_degree_sum
 
 __all__ = ["ConditionReport", "degree_sum_threshold", "check_condition"]
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Outcome of checking one graph against the degree-sum bound."""
 
     n: int

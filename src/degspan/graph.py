@@ -5,10 +5,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import compress
 from math import ceil
-from typing import Any
+from typing import Any, NamedTuple
 
 Edge = tuple[int, int]
 
@@ -52,8 +51,7 @@ def _freeze(adjacency: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(set(nbrs))) for nbrs in adjacency)
 
 
-@dataclass(frozen=True)
-class LabelledGraph:
+class LabelledGraph(NamedTuple):
     """Immutable simple undirected graph on vertices 0..n-1.
 
     ``adjacency`` holds one ascending neighbor tuple per vertex and is the
@@ -87,12 +85,9 @@ class LabelledGraph:
         """Normalized (u < v) pairs in sorted order."""
         return tuple([(u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v])
 
-    def _check_vertex(self, v: int) -> None:
+    def degree(self, v: int) -> int:
         if not (0 <= v < self.n):
             raise IndexError(f"vertex {v} out of range for n={self.n}")
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
         return len(self.adjacency[v])
 
     def degree_vector(self) -> tuple[int, ...]:
@@ -100,9 +95,12 @@ class LabelledGraph:
 
     def are_adjacent(self, u: int, v: int) -> bool:
         """True iff {u, v} is an edge; always False for u == v."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        nbrs = self.adjacency[u]
+        # One unpacking reads both fields: the oracle calls this for every
+        # edge of every word it decodes, and a named field read is a call.
+        n, adjacency = self
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexError(f"vertex {v if 0 <= u < n else u} out of range for n={n}")
+        nbrs = adjacency[u]
         i = bisect_left(nbrs, v)
         return i < len(nbrs) and nbrs[i] == v
 

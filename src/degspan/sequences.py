@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 from .graph import MAX_N, Edge, bounded_int
 from .tree import LabelledTree
@@ -42,8 +42,7 @@ class SequenceError(ValueError):
         self.code = code
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class DegreeSequence(NamedTuple):
     """Validated per-vertex target degrees for a spanning tree."""
 
     degrees: tuple[int, ...]
@@ -57,19 +56,27 @@ class DegreeSequence:
         return max(self.degrees)
 
 
+def _int_or_none(x: Any) -> int | None:
+    try:
+        return int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def validate_degree_sequence(degrees: Iterable[int]) -> DegreeSequence:
     """Check for positive integers summing to 2(n-1); return the validated sequence.
 
     These conditions are exactly tree realizability, and they force
-    every entry to be at most n - 1.  A tuple of ``int`` is kept as given.
+    every entry to be at most n - 1.  A tuple of ``int`` is kept as given;
+    an entry ``int()`` cannot convert is "not an integer" like 2.7.
     """
     raw = tuple(degrees)
-    ds = raw if all(type(d) is int for d in raw) else tuple(int(d) for d in raw)
-    n = len(ds)
+    n = len(raw)
     if n < 2:
         raise SequenceError(f"need at least two entries, got {n}", code="length")
+    ds = raw if all(type(d) is int for d in raw) else tuple(map(_int_or_none, raw))
     for i, (x, d) in enumerate(zip(raw, ds)):
-        if x != d:
+        if d is None or x != d:
             raise SequenceError(f"entry {x!r} at position {i} is not an integer", code="entry")
         if d < 1:
             raise SequenceError(f"entry {d} at position {i} is not positive", code="entry")

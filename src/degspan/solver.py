@@ -30,8 +30,7 @@ rebuilds a witness with them and compares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .condition import degree_sum_threshold
 from .graph import Edge, LabelledGraph, normalized_edge
@@ -63,8 +62,7 @@ class SolverInvariantError(RuntimeError):
     """A property the exchange argument guarantees failed: a solver bug."""
 
 
-@dataclass(frozen=True)
-class RootedForest:
+class RootedForest(NamedTuple):
     """A tree split at one edge, each side oriented away from its root.
 
     ``component[x]`` is 0 on the side rooted at u (the smaller endpoint of
@@ -79,8 +77,7 @@ class RootedForest:
     size_v: int
 
 
-@dataclass(frozen=True)
-class Exchange:
+class Exchange(NamedTuple):
     """One degree-preserving rewiring step.
 
     ``side`` names the component holding the dropped tree edge: the near
@@ -106,8 +103,7 @@ class Exchange:
         }
 
 
-@dataclass(frozen=True)
-class ExchangeStep:
+class ExchangeStep(NamedTuple):
     exchange: Exchange
     phi_after: int  # missing-edge count once the exchange is applied
 
@@ -115,8 +111,7 @@ class ExchangeStep:
         return {**self.exchange.to_json_dict(), "phi_after": self.phi_after}
 
 
-@dataclass(frozen=True)
-class CutAnalysis:
+class CutAnalysis(NamedTuple):
     """Hook and bridge sets of one split, with each root's same-side degree.
 
     For the side rooted at u: ``hooks_u`` are tree parents of vertices y
@@ -134,8 +129,7 @@ class CutAnalysis:
     candidate: Exchange | None
 
 
-@dataclass(frozen=True)
-class Inequality:
+class Inequality(NamedTuple):
     """One evaluated comparison of a witness chain."""
 
     label: str
@@ -157,8 +151,7 @@ class Inequality:
         }
 
 
-@dataclass(frozen=True)
-class InfeasibilityWitness:
+class InfeasibilityWitness(NamedTuple):
     """Counting record of a stalled exchange at the split (u, v).
 
     Every count is re-derivable from ``tree`` and the graph, and the chain
@@ -208,8 +201,7 @@ class InfeasibilityWitness:
         }
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Either a spanning tree of the graph or the witness of a stall."""
 
     tree: LabelledTree | None
@@ -221,8 +213,7 @@ class SolveResult:
         return self.tree is not None
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     reason: str | None = None
 

@@ -3,22 +3,24 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .graph import LabelledGraph
 
 __all__ = ["LabelledTree", "tree_defect"]
 
 
-@dataclass(frozen=True)
 class LabelledTree(LabelledGraph):
     """Simple graph on vertices 0..n-1, n >= 1, normally a tree.
 
-    It shares the graph's stored form and queries.  The container itself
-    only enforces simple-graph sanity (range, no loops, no repeated edges),
-    not acyclicity or connectivity, so callers can hold and inspect claimed
-    trees that fail verification.
+    It shares the graph's stored form and queries, and its empty
+    ``__slots__`` keeps it a tuple without an instance ``__dict__``, so its
+    fields stay read-only.  The container itself only enforces simple-graph
+    sanity (range, no loops, no repeated edges), not acyclicity or
+    connectivity, so callers can hold and inspect claimed trees that fail
+    verification.
     """
+
+    __slots__ = ()
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> LabelledTree:

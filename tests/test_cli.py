@@ -1,6 +1,9 @@
 import argparse
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -473,3 +476,14 @@ class TestUsage:
         for argv in (["realize", "--seq", "2,2,1,1"], ["frobnicate"], ["--help"]):
             run_cli(capsys, *argv)
         assert len(built) == after_first
+
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        # The records are NamedTuples, so importing the CLI pulls in neither
+        # dataclasses nor the modules it imports (inspect, ast, dis, ...).
+        # -S keeps site hooks from importing anything of their own.
+        package_root = str(Path(degspan.cli.__file__).parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import degspan.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-S", "-c", code, package_root],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"

@@ -342,11 +342,13 @@ class TestAdjacency:
 
     def test_index_out_of_range(self):
         g = path_graph(3)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=r"^vertex 3 out of range for n=3$"):
             g.are_adjacent(0, 3)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=r"^vertex -1 out of range for n=3$"):
             g.are_adjacent(-1, 0)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=r"^vertex -1 out of range for n=3$"):
+            g.are_adjacent(-1, 7)  # the first endpoint is checked first
+        with pytest.raises(IndexError, match=r"^vertex 5 out of range for n=3$"):
             g.degree(5)
 
     def test_is_complete(self):

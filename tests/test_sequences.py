@@ -59,6 +59,17 @@ class TestValidate:
             validate_degree_sequence([0])
         assert exc.value.code == "length"
 
+    @pytest.mark.parametrize("bad, message", [
+        (["x", 1, 1], "entry 'x' at position 0 is not an integer"),
+        ([None, 1, 1], "entry None at position 0 is not an integer"),
+        ([2, 1, float("inf")], "entry inf at position 2 is not an integer"),
+    ])
+    def test_unconvertible_entry_is_an_entry_error(self, bad, message):
+        with pytest.raises(SequenceError) as exc:
+            validate_degree_sequence(bad)
+        assert exc.value.code == "entry"
+        assert str(exc.value) == message
+
     def test_too_short(self):
         with pytest.raises(SequenceError) as exc:
             validate_degree_sequence([1])

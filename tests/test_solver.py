@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -7,9 +6,12 @@ from hypothesis import given, settings
 
 import degspan.solver
 from degspan import (
+    DegreeSequence,
     Exchange,
+    InfeasibilityWitness,
     LabelledGraph,
     LabelledTree,
+    SolveResult,
     SolverInvariantError,
     build_extremal,
     check_condition,
@@ -248,7 +250,7 @@ class TestFindSpanningTree:
 
         def tampered(*args):
             c = select(*args)
-            return dataclasses.replace(c, candidate=dataclasses.replace(c.candidate, **change))
+            return c._replace(candidate=c.candidate._replace(**change))
 
         monkeypatch.setattr(degspan.solver, "compute_cut_sets", tampered)
         with pytest.raises(SolverInvariantError, match=message):
@@ -440,13 +442,13 @@ class TestWitness:
         g, seq = build_extremal(1, 3)
         w = find_spanning_tree(g, seq).witness
         assert validate_witness(g, w)
-        tampered = dataclasses.replace(w, bridges_u=w.bridges_u + 1)
+        tampered = w._replace(bridges_u=w.bridges_u + 1)
         assert not validate_witness(g, tampered)
-        tampered2 = dataclasses.replace(w, degree_sum=w.degree_sum + 2)
+        tampered2 = w._replace(degree_sum=w.degree_sum + 2)
         assert not validate_witness(g, tampered2)
-        flipped = dataclasses.replace(w, contradicts_condition=not w.contradicts_condition)
+        flipped = w._replace(contradicts_condition=not w.contradicts_condition)
         assert not validate_witness(g, flipped)
-        swapped = dataclasses.replace(w, u=w.v, v=w.u)
+        swapped = w._replace(u=w.v, v=w.u)
         assert not validate_witness(g, swapped)
         # The same witness against a larger graph: K9 minus (0, 1).
         k9 = LabelledGraph.from_edges(
@@ -466,7 +468,7 @@ class TestWitness:
         assert validate_witness(g, w)
         assert (w.u, w.v) == (1, 2) and not w.tree.are_adjacent(0, 2)
         # (0, 2) is no tree edge, so the tree has no split there
-        assert not validate_witness(g, dataclasses.replace(w, u=0, v=2))
+        assert not validate_witness(g, w._replace(u=0, v=2))
         # (1, 2) is then a graph edge, not a missing one
         assert not validate_witness(LabelledGraph.from_edges(10, (*g.edges, (1, 2))), w)
         # with (0, 2) in the graph the split at (1, 2) has an exchange
@@ -551,12 +553,28 @@ class TestVerifyTree:
 class TestTreeContainer:
     def test_is_a_graph_with_the_same_stored_form(self):
         assert issubclass(LabelledTree, LabelledGraph)
-        assert [f.name for f in dataclasses.fields(LabelledTree)] == ["n", "adjacency"]
+        assert LabelledTree._fields == ("n", "adjacency")
         t = LabelledTree.from_edges(4, [(2, 0), (0, 1), (3, 1)])
         assert t.adjacency == ((1, 2), (0, 3), (0,), (1,))
         assert t.edges == ((0, 1), (0, 2), (1, 3))
         assert t.degree_vector() == (2, 2, 1, 1)
         assert t.are_adjacent(3, 1) and not t.are_adjacent(2, 3)
+
+    def test_records_are_read_only(self):
+        g, seq = cycle_graph(5), validate_degree_sequence([2, 2, 2, 1, 1])
+        found = find_spanning_tree(g, seq)
+        records = (g, found.tree, seq, found.steps[0].exchange,
+                   find_spanning_tree(*build_extremal(1, 3)).witness, found)
+        assert tuple(map(type, records)) == (
+            LabelledGraph, LabelledTree, DegreeSequence, Exchange, InfeasibilityWitness, SolveResult,
+        )
+        for record in records:
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+        assert not hasattr(found.tree, "__dict__")
+        with pytest.raises(AttributeError):
+            found.tree.extra = None
 
     def test_from_edges_rejects_repeated_edges_and_no_vertices(self):
         for pairs in ([(0, 1), (1, 0)], [(0, 1), (0, 1)]):
@@ -575,7 +593,8 @@ class TestTreeContainer:
         from test_solver_pinned import _instances
 
         def same_as_validated(t):
-            return t == LabelledTree.from_edges(t.n, t.edges)
+            # tuple equality holds between a tree and a graph, so check the type too
+            return type(t) is LabelledTree and t == LabelledTree.from_edges(t.n, t.edges)
 
         for g, seq in _instances():
             res = find_spanning_tree(g, seq)
