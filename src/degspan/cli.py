@@ -1,7 +1,5 @@
 """Command-line front end: solve, check, realize, oracle, extremal, batch."""
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
@@ -57,17 +55,17 @@ def _cmd_solve(args: argparse.Namespace) -> Report:
         }
         return Report(payload, serialize_graph(t), 0)
     w = result.witness
+    witness = w.to_json_dict()
+    counts = [f"{key}={value}" for key, value in witness["counts"].items()]
     final = w.chain[-1]
     text = (
         f"stalled: no exchange at missing pair ({w.u}, {w.v})\n"
         f"component sizes: {w.size_u} + {w.size_v} = {w.size_u + w.size_v}\n"
-        f"counts: hooks_u={w.hooks_u} bridges_u={w.bridges_u}"
-        f" hooks_v={w.hooks_v} bridges_v={w.bridges_v}\n"
-        f"        u_nbrs_same={w.u_nbrs_same} u_nbrs_other={w.bridges_v}"
-        f" v_nbrs_same={w.v_nbrs_same} v_nbrs_other={w.bridges_u}\n"
+        f"counts: {' '.join(counts[:4])}\n"
+        f"        {' '.join(counts[4:])}\n"
         f"deg(u)+deg(v) = {w.degree_sum}; {final.label}: {final.lhs} <= {final.rhs}\n"
     )
-    return Report({"status": "stalled", "witness": w.to_json_dict()}, text, 1)
+    return Report({"status": "stalled", "witness": witness}, text, 1)
 
 
 def _cmd_check(args: argparse.Namespace) -> Report:
@@ -94,8 +92,8 @@ def _cmd_realize(args: argparse.Namespace) -> Report:
 def _cmd_oracle_find(args: argparse.Namespace) -> Report:
     g = _load_graph(args.graph)
     seq = _load_sequence(args.seq)
-    total = count_trees(seq)
     tree = oracle_find(g, seq, budget=args.budget)
+    total = count_trees(seq)
     if tree is None:
         text = f"none of the {total} candidate trees is contained in the graph\n"
         return Report({"total_candidates": total, "first_tree": None}, text, 1)
@@ -106,8 +104,8 @@ def _cmd_oracle_find(args: argparse.Namespace) -> Report:
 def _cmd_oracle_count(args: argparse.Namespace) -> Report:
     g = _load_graph(args.graph)
     seq = _load_sequence(args.seq)
-    total = count_trees(seq)
     contained = oracle_count(g, seq, budget=args.budget)
+    total = count_trees(seq)
     return Report(
         {"total_candidates": total, "contained_count": contained},
         f"{contained} of {total} candidate trees contained in the graph\n",
@@ -127,9 +125,10 @@ def _cmd_extremal(args: argparse.Namespace) -> Report:
         worst_sum = report.worst_pair[2]  # the X-Y pairs are missing, so never None
         formula = extremal_worst_sum(args.k, args.r)
         gap = report.threshold - worst_sum
-        oracle_result: int | None = None
-        if count_trees(seq) <= args.budget:
-            oracle_result = oracle_count(g, seq, budget=args.budget)
+        try:
+            oracle_result: int | None = oracle_count(g, seq, budget=args.budget)
+        except OracleBudgetError:
+            oracle_result = None
         ok = (
             not report.satisfied
             and worst_sum == formula
@@ -160,13 +159,7 @@ class BatchSummary(NamedTuple):
     failures: tuple[str, ...]
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "instances": self.instances,
-            "solved": self.solved,
-            "verified": self.verified,
-            "max_exchanges": self.max_exchanges,
-            "failures": list(self.failures),
-        }
+        return self._asdict()
 
 
 def run_batch(

@@ -7,8 +7,6 @@ least the bound.  All comparisons are exact: the margins that matter are
 as small as 1/(r-1), which float arithmetic would blur.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import Any, NamedTuple
 
@@ -31,13 +29,7 @@ class ConditionReport(NamedTuple):
         if self.worst_pair is not None:
             u, v, s = self.worst_pair
             worst = {"u": u, "v": v, "sum": s}
-        return {
-            "n": self.n,
-            "r": self.r,
-            "threshold": str(self.threshold),
-            "satisfied": self.satisfied,
-            "worst_pair": worst,
-        }
+        return {**self._asdict(), "threshold": str(self.threshold), "worst_pair": worst}
 
 
 def degree_sum_threshold(n: int, r: int) -> Fraction:

@@ -8,8 +8,6 @@ span the disconnected X-Y part alone, so no tree qualifies, yet every
 non-adjacent pair sits only 1/(r-1) below the threshold.
 """
 
-from __future__ import annotations
-
 from .graph import MAX_GENERATED_N, LabelledGraph
 from .sequences import DegreeSequence, validate_degree_sequence
 

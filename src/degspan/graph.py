@@ -1,7 +1,5 @@
 """Labelled simple graphs: parsing, serialization, degree queries, random ensembles."""
 
-from __future__ import annotations
-
 import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
@@ -63,7 +61,7 @@ class LabelledGraph(NamedTuple):
     adjacency: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> LabelledGraph:
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "LabelledGraph":
         """Build a graph from pairs in any order and orientation; duplicates collapse.
 
         Raises ValueError for out-of-range endpoints or self-loops.
@@ -105,7 +103,7 @@ class LabelledGraph(NamedTuple):
         return i < len(nbrs) and nbrs[i] == v
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {"n": self.n, "edges": [list(e) for e in self.edges]}
+        return {"n": self.n, "edges": self.edges}
 
 
 def parse_graph(text: str) -> LabelledGraph:

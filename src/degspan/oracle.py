@@ -7,10 +7,8 @@ visits every such tree exactly once.  Containment in a host graph is
 then a per-edge check, aborted at the first missing edge.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterator
-from math import factorial, prod
+from math import factorial, fsum, lgamma, log, prod
 
 from .graph import Edge, LabelledGraph
 from .sequences import DegreeSequence, canonical_word, prufer_edges
@@ -28,12 +26,17 @@ DEFAULT_BUDGET = 10**7
 
 
 class OracleBudgetError(RuntimeError):
-    """Raised instead of silently truncating an enumeration."""
+    """Raised instead of silently truncating an enumeration.
 
-    def __init__(self, total: int, budget: int) -> None:
+    ``total`` is the exact number of candidate trees, or None when the
+    estimate ``log10_total`` alone put it past the budget.
+    """
+
+    def __init__(self, total: int | None, budget: int, log10_total: float) -> None:
+        count = f"about 10^{log10_total:.0f}" if total is None else total
         super().__init__(
             f"exhaustive enumeration infeasible at this size: "
-            f"{total} candidate trees exceed the budget of {budget}"
+            f"{count} candidate trees exceed the budget of {budget}"
         )
         self.total = total
         self.budget = budget
@@ -66,14 +69,19 @@ def _contained_trees(g: LabelledGraph, seq: DegreeSequence, budget: int) -> Iter
     """Edge lists of the trees with this degree vector that lie inside g.
 
     Checks the instance before decoding any word, then walks the words in
-    lexicographic order and yields each contained tree's edges.
+    lexicographic order and yields each contained tree's edges.  The log of
+    ``count_trees(seq)``, lgamma(n - 1) - sum(lgamma(d_i)), is off by far
+    less than 1, so an estimate over log(budget) + 1 is refused without the
+    exact count: its factorials take seconds at large n, and it may have
+    too many digits to print.  Otherwise the exact count decides.
     """
     n = seq.n
     if g.n != n:
         raise ValueError(f"graph order {g.n} != sequence length {n}")
-    total = count_trees(seq)
-    if total > budget:
-        raise OracleBudgetError(total, budget)
+    log_total = lgamma(n - 1) - fsum(map(lgamma, seq.degrees))
+    total = None if log_total > log(max(budget, 1)) + 1 else count_trees(seq)
+    if total is None or total > budget:
+        raise OracleBudgetError(total, budget, log_total / log(10))
     word = list(canonical_word(seq))
     more = True
     while more:

@@ -6,8 +6,6 @@ tree deterministically: vertex i appears degree(i) - 1 times in the code
 word, and decoding follows the smallest-leaf-first rule.
 """
 
-from __future__ import annotations
-
 import heapq
 import random
 from collections.abc import Callable, Iterable, Sequence

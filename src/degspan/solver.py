@@ -28,8 +28,7 @@ rewiring steps on immutable LabelledTree values, and ``validate_witness``
 rebuilds a witness with them and compares.
 """
 
-from __future__ import annotations
-
+from collections.abc import Collection, Sequence
 from typing import Any, NamedTuple
 
 from .condition import degree_sum_threshold
@@ -94,13 +93,7 @@ class Exchange(NamedTuple):
     add_2: tuple[int, int]  # (far root, w)
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "side": self.side,
-            "drop_foreign": list(self.drop_foreign),
-            "drop_tree": list(self.drop_tree),
-            "add_1": list(self.add_1),
-            "add_2": list(self.add_2),
-        }
+        return self._asdict()
 
 
 class ExchangeStep(NamedTuple):
@@ -142,13 +135,7 @@ class Inequality(NamedTuple):
         return self.lhs <= self.rhs if self.op == "<=" else self.lhs == self.rhs
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "label": self.label,
-            "lhs": self.lhs,
-            "op": self.op,
-            "rhs": self.rhs,
-            "holds": self.holds,
-        }
+        return {**self._asdict(), "holds": self.holds}
 
 
 class InfeasibilityWitness(NamedTuple):
@@ -227,11 +214,12 @@ def foreign_edges(g: LabelledGraph, t: LabelledTree) -> tuple[Edge, ...]:
                  if u < v and not g.are_adjacent(u, v))
 
 
-def _split(adj: list[set[int]], u: int, v: int) -> RootedForest | None:
+def _split(adj: Sequence[Collection[int]], u: int, v: int) -> RootedForest | None:
     """The tree adjacency ``adj`` cut at its edge (u, v), u < v, and oriented.
 
-    ``adj`` still holds the edge and is only read.  Returns None when a
-    vertex is reachable from neither root.
+    ``adj``, the solver's sets or a tree's neighbour tuples, still holds
+    the edge and is only read.  Returns None when a vertex is reachable
+    from neither root.
     """
     component = [-1] * len(adj)
     parent: list[int | None] = [None] * len(adj)
@@ -268,10 +256,9 @@ def orient_forest(t: LabelledTree, u: int, v: int) -> RootedForest:
     """
     if not (0 <= u < t.n and 0 <= v < t.n):
         raise ValueError(f"vertices ({u}, {v}) out of range")
-    adj = [set(a) for a in t.adjacency]
-    if v not in adj[u]:
+    if v not in t.adjacency[u]:
         raise ValueError(f"({u}, {v}) is not a tree edge")
-    f = _split(adj, *normalized_edge(u, v))
+    f = _split(t.adjacency, *normalized_edge(u, v))
     if f is None:
         raise ValueError("input is not a tree: some vertices unreachable from the split")
     return f

@@ -1,7 +1,5 @@
 """Labelled trees as graphs that keep every edge they are given, plus the tree-ness check."""
 
-from __future__ import annotations
-
 from collections.abc import Iterable
 
 from .graph import LabelledGraph
@@ -23,7 +21,7 @@ class LabelledTree(LabelledGraph):
     __slots__ = ()
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> LabelledTree:
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "LabelledTree":
         """Build from pairs in any order and orientation; a repeated edge is an error."""
         if n < 1:
             raise ValueError("need at least one vertex")

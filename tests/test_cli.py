@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 import degspan.cli
+import degspan.oracle
 import degspan.solver
 from degspan import (
     LabelledTree,
@@ -19,7 +20,7 @@ from degspan import (
     validate_degree_sequence,
     verify_tree,
 )
-from degspan.cli import main, run_batch
+from degspan.cli import BatchSummary, main, run_batch
 from support import complete_graph, cycle_graph
 
 EDGE = {
@@ -325,6 +326,22 @@ class TestOracleCommands:
         assert code == 2
         assert "infeasible" in err
 
+    def test_oversized_request_exits_2_before_counting(self, capsys, tmp_path, monkeypatch):
+        # the exact count, (n-2)! at n = 1600, has 4,427 digits: too long to print
+        path = tmp_path / "edgeless.txt"
+        path.write_text("1600\n")
+        seq = ",".join(["2"] * 1598 + ["1", "1"])
+
+        def no_exact_count(seq):
+            raise AssertionError("the exact count was computed")
+
+        monkeypatch.setattr(degspan.oracle, "count_trees", no_exact_count)
+        monkeypatch.setattr(degspan.cli, "count_trees", no_exact_count)
+        for command in ("oracle-count", "oracle-find"):
+            code, out, err = run_cli(capsys, command, "--graph", str(path), "--seq", seq)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and "budget of 10000000" in err
+
 
 class TestExtremal:
     def test_text_output_reparses(self, capsys):
@@ -447,6 +464,11 @@ class TestBatch:
         a = run_batch(8, 12, 3, 5, base_seed=3)
         b = run_batch(8, 12, 3, 5, base_seed=3)
         assert a == b
+
+    def test_summary_json_rebuilds_the_summary(self):
+        s = run_batch(8, 12, 3, 5, base_seed=3)
+        assert s.instances == 5
+        assert BatchSummary(**s.to_json_dict()) == s
 
 
 class TestUsage:

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import degspan.oracle
 from degspan import (
     LabelledGraph,
     OracleBudgetError,
@@ -97,6 +98,33 @@ class TestOracleFind:
         assert count_trees(seq) > 10**6
         with pytest.raises(OracleBudgetError):
             oracle_find(complete_graph(30), seq, budget=10**6)
+
+    def test_oversized_request_is_refused_before_counting(self, monkeypatch):
+        # (n-2)! at n = 1600 has 4,427 digits, past Python's int-to-str limit
+        g = LabelledGraph.from_edges(1600, [])
+        seq = validate_degree_sequence([2] * 1598 + [1, 1])
+
+        def no_exact_count(seq):
+            raise AssertionError("the exact count was computed")
+
+        monkeypatch.setattr(degspan.oracle, "count_trees", no_exact_count)
+        for oracle in (oracle_find, oracle_count):
+            with pytest.raises(OracleBudgetError) as exc:
+                oracle(g, seq)
+            assert exc.value.total is None
+            assert str(exc.value).endswith(
+                "about 10^4427 candidate trees exceed the budget of 10000000"
+            )
+
+    def test_budget_boundary_is_exact(self):
+        seq = validate_degree_sequence([2, 2, 2, 2, 1, 1])
+        assert count_trees(seq) == 24
+        assert oracle_count(complete_graph(6), seq, budget=24) == 24
+        with pytest.raises(OracleBudgetError) as exc:
+            oracle_find(complete_graph(6), seq, budget=23)
+        assert exc.value.total == 24
+        with pytest.raises(OracleBudgetError):
+            oracle_count(complete_graph(6), seq, budget=0)
 
     def test_found_tree_is_contained(self):
         g, _ = build_extremal(2, 3)

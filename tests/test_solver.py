@@ -1,18 +1,24 @@
 import itertools
 import random
+from typing import ForwardRef
 
 import pytest
 from hypothesis import given, settings
 
+import degspan.cli
 import degspan.solver
 from degspan import (
+    ConditionReport,
     DegreeSequence,
     Exchange,
+    ExchangeStep,
+    Inequality,
     InfeasibilityWitness,
     LabelledGraph,
     LabelledTree,
     SolveResult,
     SolverInvariantError,
+    VerifyResult,
     build_extremal,
     check_condition,
     find_spanning_tree,
@@ -25,6 +31,8 @@ from degspan import (
     verify_tree,
 )
 from degspan.solver import (
+    CutAnalysis,
+    RootedForest,
     apply_exchange,
     build_witness,
     compute_cut_sets,
@@ -606,3 +614,31 @@ class TestTreeContainer:
                 assert same_as_validated(t)
             if res.ok:
                 assert t == final
+
+
+
+RECORDS = (
+    LabelledGraph, LabelledTree, DegreeSequence, ConditionReport, RootedForest, Exchange,
+    ExchangeStep, CutAnalysis, Inequality, InfeasibilityWitness, SolveResult, VerifyResult,
+    degspan.cli.Report, degspan.cli.BatchSummary,
+)
+
+
+class TestRecordDeclarations:
+    def test_annotations_are_evaluated(self):
+        # String annotations would make NamedTuple compile a ForwardRef per field.
+        assert LabelledGraph.__annotations__["n"] is int
+        for record in RECORDS:
+            if record is not LabelledTree:  # declares no fields of its own
+                assert tuple(record.__annotations__) == record._fields
+            for name, annotation in record.__annotations__.items():
+                assert not isinstance(annotation, (str, ForwardRef)), (record.__name__, name)
+
+    def test_exchange_json_rebuilds_the_exchange(self):
+        g = random_condition_graph(20, 3, seed=1)
+        seq = random_degree_sequence(20, 3, random.Random(1))
+        steps = find_spanning_tree(g, seq).steps
+        assert steps
+        for step in steps:
+            x = step.exchange
+            assert Exchange(**x.to_json_dict()) == x
