@@ -5,6 +5,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from itertools import compress
 from math import ceil
+from operator import lt
 from typing import Any, NamedTuple
 
 Edge = tuple[int, int]
@@ -45,8 +46,21 @@ def normalized_edge(u: int, v: int) -> Edge:
 
 
 def _freeze(adjacency: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """Sorted, duplicate-free neighbour tuples from validated, symmetric lists."""
-    return tuple(tuple(sorted(set(nbrs))) for nbrs in adjacency)
+    """Sorted, duplicate-free neighbour tuples from validated, symmetric lists.
+
+    A list that is already strictly ascending, as every list built from a
+    sorted edge list is, costs one O(deg) check and no sort.
+    """
+    return tuple(
+        tuple(nbrs) if all(map(lt, nbrs, nbrs[1:])) else tuple(sorted(set(nbrs)))
+        for nbrs in adjacency
+    )
+
+
+def _freeze_rows(rows: list[bytearray]) -> tuple[tuple[int, ...], ...]:
+    """Neighbour tuples of symmetric 0/1 byte rows, cut from one shared tuple of all vertices."""
+    vertices = tuple(range(len(rows)))
+    return tuple(tuple(compress(vertices, row)) for row in rows)
 
 
 class LabelledGraph(NamedTuple):
@@ -115,6 +129,11 @@ def parse_graph(text: str) -> LabelledGraph:
     starting with '#' and blank lines are ignored.  Duplicate edge lines
     collapse to a single edge; self-loops are an error.
 
+    A text in ``serialize_graph``'s exact layout of a dense graph is read
+    in bulk by ``_read_serialized``.  Every other text, and every error,
+    goes through the line loop below, so the messages and line numbers are
+    the loop's alone.
+
     Each line is validated once and its edge goes straight into the
     neighbour lists.  Numbers are read by ``bounded_int``, so an oversized
     count or endpoint is rejected with its line number and without
@@ -130,6 +149,9 @@ def parse_graph(text: str) -> LabelledGraph:
     accepted graphs and every error message and line number are those of
     the checks alone.  ``seen`` holds only tokens that occur in the text.
     """
+    g = _read_serialized(text)
+    if g is not None:
+        return g
     n: int | None = None
     adjacency: list[list[int]] = []
     seen: dict[str, int] = {}
@@ -170,6 +192,66 @@ def parse_graph(text: str) -> LabelledGraph:
     if n is None:
         raise GraphParseError("missing vertex count line", 1)
     return LabelledGraph(n=n, adjacency=_freeze(adjacency))
+
+
+_BLOCK = 1 << 13
+"""About how many characters ``_read_serialized`` checks and splits at a time."""
+
+_ROW_BYTES_PER_CHAR = 4
+"""``_read_serialized`` allocates its n^2 row bytes only up to this many per input character."""
+
+
+def _read_serialized(text: str) -> LabelledGraph | None:
+    """The graph of a text in ``serialize_graph``'s exact layout, else None; never raises.
+
+    The layout is the count line, then one ``u v`` line per edge, every
+    line ended by a newline and every endpoint spelled ``str(i)`` for some
+    i < n.  The edge lines are read in blocks cut after a newline.  A
+    block of k lines is accepted when deleting its digits leaves exactly k
+    copies of space-newline and it splits into 2k tokens: then every line
+    is two runs of digits around one space.  Each token is looked up in
+    one dict of the canonical names, so a leading zero, an out-of-range
+    endpoint or any other spelling falls back to the line loop.  Edges set
+    bytes in one row per vertex, so duplicates collapse; a set diagonal
+    byte is a self-loop and falls back too.
+
+    The rows cost n^2 bytes, so they are allocated only when n^2 is at
+    most ``_ROW_BYTES_PER_CHAR`` bytes per character of the text.  Only
+    dense graphs take this path, and its memory stays within a constant
+    multiple of the input.  Blocks are kept small because their tokens
+    outweigh the rows of a graph with a few hundred vertices.
+    """
+    end = text.find("\n")
+    if end < 0 or not text.isascii():
+        return None
+    head = text[:end]
+    n = bounded_int(head, MAX_N) if head.isdigit() else None
+    if n is None or n * n > _ROW_BYTES_PER_CHAR * len(text):
+        return None
+    vertex = {str(i): i for i in range(n)}.__getitem__
+    rows = [bytearray(n) for _ in range(n)]
+    pos = end + 1
+    while pos < len(text):
+        cut = text.rfind("\n", pos, pos + _BLOCK) + 1
+        if not cut:
+            return None
+        block = text[pos:cut]
+        lines = block.count("\n")
+        if block.encode().translate(None, b"0123456789") != b" \n" * lines:
+            return None
+        tokens = block.split()
+        if len(tokens) != 2 * lines:
+            return None
+        ends = map(vertex, tokens)
+        try:
+            for u, v in zip(ends, ends):
+                rows[u][v] = rows[v][u] = 1
+        except KeyError:  # a token that is not a canonical name
+            return None
+        pos = cut
+    if any(row[v] for v, row in enumerate(rows)):
+        return None
+    return LabelledGraph(n=n, adjacency=_freeze_rows(rows))
 
 
 def bounded_int(digits: str, limit: int) -> int | None:
@@ -256,7 +338,7 @@ def random_condition_graph(n: int, r: int, seed: int) -> LabelledGraph:
     bound.  Degrees only grow during the sweep, so a pair that meets the
     bound when visited still meets it at the end.  Deterministic in seed.
     One ``bytearray`` row per vertex holds the graph in about n^2 bytes;
-    the neighbour tuples are cut from one shared tuple of all vertices.
+    ``_freeze_rows`` turns them into neighbour tuples.
     """
     from .condition import degree_sum_threshold
 
@@ -281,5 +363,4 @@ def random_condition_graph(n: int, r: int, seed: int) -> LabelledGraph:
                 row[v] = rows[v][u] = 1
                 degree[u] += 1
                 degree[v] += 1
-    vertices = tuple(range(n))
-    return LabelledGraph(n=n, adjacency=tuple(tuple(compress(vertices, row)) for row in rows))
+    return LabelledGraph(n=n, adjacency=_freeze_rows(rows))

@@ -8,7 +8,7 @@ then a per-edge check, aborted at the first missing edge.
 """
 
 from collections.abc import Iterator
-from math import factorial, fsum, lgamma, log, prod
+from math import factorial, fsum, lgamma, log, perm, prod
 
 from .graph import Edge, LabelledGraph
 from .sequences import DegreeSequence, canonical_word, prufer_edges
@@ -45,9 +45,12 @@ class OracleBudgetError(RuntimeError):
 def count_trees(seq: DegreeSequence) -> int:
     """Number of labelled trees with exactly this degree vector.
 
-    (n-2)! / prod((d_i - 1)!), computed exactly.
+    (n-2)! / prod((d_i - 1)!), computed exactly.  The largest (d_i - 1)!
+    is cancelled first, as (n-2)! / (d_i - 1)! = perm(n-2, n-1-d_i), so a
+    star costs a product of ones instead of dividing (n-2)! by itself.
     """
-    return factorial(seq.n - 2) // prod(factorial(d - 1) for d in seq.degrees)
+    *rest, top = sorted(seq.degrees)
+    return perm(seq.n - 2, seq.n - 1 - top) // prod(factorial(d - 1) for d in rest)
 
 
 def _next_permutation(a: list[int]) -> bool:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,8 @@ from degspan import (
 )
 from degspan.cli import run_batch
 from degspan.extremal import build_extremal, extremal_order
-from degspan.graph import MAX_GENERATED_N, MAX_N, bounded_int, normalized_edge
+import degspan.graph
+from degspan.graph import MAX_GENERATED_N, MAX_N, _read_serialized, bounded_int, normalized_edge
 from support import all_labelled_graphs, complete_graph, graphs, path_graph
 
 
@@ -321,6 +323,98 @@ def _parsed(parse, text):
 @example("9\r\n00 1\r\n0 1\x1f\x85 1  00 \x1c1\u30000\n")
 def test_parse_agrees_with_the_per_line_reference(text):
     assert _parsed(parse_graph, text) == _parsed(reference_parse_graph, text)
+
+
+def line_loop(text):
+    """``parse_graph`` with the bulk reader switched off."""
+    with mock.patch.object(degspan.graph, "_read_serialized", lambda text: None):
+        return parse_graph(text)
+
+
+@given(graphs(min_n=0, max_n=24))
+def test_bulk_reader_agrees_with_the_line_loop(g):
+    text = serialize_graph(g)
+    dense = g.n * g.n <= degspan.graph._ROW_BYTES_PER_CHAR * len(text)
+    assert line_loop(text) == g
+    assert _read_serialized(text) == (g if dense else None)
+
+
+# A dense graph on 5 vertices in serialize_graph's layout.
+CANONICAL = "5\n0 1\n0 2\n0 3\n1 2\n1 4\n2 3\n3 4\n"
+
+
+@pytest.mark.parametrize(
+    "text, bulk",
+    [
+        (CANONICAL, True),
+        (CANONICAL + "0 1\n", True),  # a duplicate edge collapses
+        (CANONICAL + "4 0\n", True),  # so does any order or orientation
+        ("005\n" + CANONICAL[2:], True),  # the count is any run of digits
+        ("0\n", True),
+        ("1\n", True),
+        ("5\n0 1\n", False),  # sparse: n^2 bytes of rows exceed the bound
+        (CANONICAL.replace("0 2", "00 2"), False),
+        (CANONICAL.replace("\n", "\r\n"), False),
+        (CANONICAL.replace("0 2", "0\t2"), False),
+        (CANONICAL.replace("0 2", "0  2"), False),
+        (CANONICAL.replace("0 2", "0 2 "), False),
+        (CANONICAL.replace("0 2", " 0 2"), False),
+        (CANONICAL[:-1], False),
+        ("# c\n" + CANONICAL, False),
+        (CANONICAL.replace("0 2\n", "0 2\n# c\n"), False),
+        (CANONICAL.replace("0 2\n", "0 2\n\n"), False),
+        (CANONICAL + "2 2\n", False),
+        (CANONICAL + "0 5\n", False),
+        (CANONICAL + "5 0\n", False),
+        (CANONICAL + "0 1 2\n", False),
+        (CANONICAL + "01\n", False),
+        (CANONICAL + "0 \n1 \n", False),  # one space per line, one token per line
+        (CANONICAL + " 4\n", False),
+        (CANONICAL + " \n", False),
+        ("0\n0 1\n", False),
+        ("1\n0 0\n", False),
+        (CANONICAL.replace("0 2", "0 \uff12"), False),
+        ("\uff15" + CANONICAL[1:], False),
+        (f"{MAX_N + 1}\n0 1\n", False),
+    ],
+)
+def test_near_canonical_texts_fall_back_to_the_line_loop(text, bulk):
+    assert (_read_serialized(text) is not None) == bulk
+    assert _parsed(parse_graph, text) == _parsed(line_loop, text)
+    assert _parsed(parse_graph, text) == _parsed(reference_parse_graph, text)
+
+
+@pytest.mark.parametrize("g", [
+    complete_graph(1),
+    complete_graph(2),
+    complete_graph(12),
+    random_condition_graph(40, 3, seed=1),
+    random_condition_graph(100, 4, seed=2),
+    build_extremal(5, 3)[0],
+])
+def test_serialized_dense_graphs_take_the_bulk_path(g, monkeypatch):
+    def no_line_loop(adjacency):
+        raise AssertionError("the line loop froze neighbour lists")
+
+    monkeypatch.setattr(degspan.graph, "_freeze", no_line_loop)
+    assert parse_graph(serialize_graph(g)) == g
+
+
+def test_bulk_reader_peaks_below_half_the_line_loop():
+    text = serialize_graph(random_condition_graph(300, 3, seed=1))
+
+    def peak(parse):
+        tracemalloc.start()
+        try:
+            g = parse(text)
+            return g, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bulk, bulk_peak = peak(parse_graph)
+    lines, lines_peak = peak(line_loop)
+    assert bulk == lines
+    assert bulk_peak < lines_peak / 2
 
 
 @given(graphs())

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,21 @@ class TestCountTrees:
             assert len({t.edges for t in trees}) == len(trees)
             for t in trees:
                 assert t.degree_vector() == seq.degrees
+
+    def test_equals_the_factorial_formula(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(2, 60)
+            seq = random_degree_sequence(n, rng.randint(2, n), rng)
+            formula = math.factorial(n - 2) // math.prod(math.factorial(d - 1) for d in seq.degrees)
+            assert count_trees(seq) == formula
+
+    def test_star_at_large_order_does_not_divide_huge_factorials(self):
+        n = 200_000
+        seq = validate_degree_sequence([n - 1] + [1] * (n - 1))
+        started = time.perf_counter()
+        assert count_trees(seq) == 1
+        assert time.perf_counter() - started < 5.0  # dividing (n-2)! by itself took 30 s
 
 
 class TestCayleyCompleteness:
