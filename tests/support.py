@@ -1,14 +1,22 @@
-"""Shared builders, enumerators, strategies and a reference Prüfer encoder for tests."""
+"""Shared builders, enumerators, strategies and reference implementations for tests."""
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import random
 from collections.abc import Iterator
 
 from hypothesis import strategies as st
 
-from degspan import DegreeSequence, LabelledGraph, LabelledTree, validate_degree_sequence
+from degspan import (
+    DegreeSequence,
+    LabelledGraph,
+    LabelledTree,
+    degree_sum_threshold,
+    validate_degree_sequence,
+)
+from degspan.solver import CutAnalysis, Exchange, RootedForest, SolverInvariantError
 from degspan.tree import tree_defect
 
 
@@ -23,6 +31,37 @@ def path_graph(n: int) -> LabelledGraph:
 def cycle_graph(n: int) -> LabelledGraph:
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     return LabelledGraph.from_edges(n, edges)
+
+
+def dense_host(n: int, r: int, p: float, rng: random.Random, repair: bool) -> LabelledGraph:
+    """G(n, p); with ``repair``, then an edge at each non-adjacent pair below the r bound.
+
+    Degrees only grow during the repair, so a repaired host meets the bound.
+    """
+    adjacency: list[set[int]] = [set() for _ in range(n)]
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    if repair:
+        bound = degree_sum_threshold(n, r)
+        for u, v in itertools.combinations(range(n), 2):
+            if v not in adjacency[u] and len(adjacency[u]) + len(adjacency[v]) < bound:
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+    return LabelledGraph.from_edges(n, ((u, v) for u in range(n) for v in adjacency[u] if u < v))
+
+
+def low_degree_sequence(g: LabelledGraph, r: int, rng: random.Random) -> DegreeSequence:
+    """Degree r on the lowest-degree host vertices, ties broken at random."""
+    deg = g.degree_vector()
+    order = sorted(range(g.n), key=lambda v: (deg[v], rng.random()))
+    k, rest = divmod(g.n - 2, r - 1)
+    degrees = [1] * g.n
+    for v in order[:k]:
+        degrees[v] = r
+    degrees[order[k]] += rest
+    return validate_degree_sequence(degrees)
 
 
 def prufer_encode(tree: LabelledTree) -> tuple[int, ...]:
@@ -47,6 +86,47 @@ def prufer_encode(tree: LabelledTree) -> tuple[int, ...]:
         if len(adj[parent]) == 1:
             heapq.heappush(leaves, parent)
     return tuple(word)
+
+
+def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
+    """Reference hook/bridge sets of a split, one comprehension per set.
+
+    Scans the u side before the v side, and within a side picks the
+    smallest hook-and-bridge vertex w, then the smallest of its children
+    adoptable by the near root.
+    """
+    u, v = f.removed_edge
+    comp, parent = f.component, f.parent
+    u_same = [y for y in g.adjacency[u] if comp[y] == 0]
+    v_same = [y for y in g.adjacency[v] if comp[y] == 1]
+    hooks_u = frozenset(parent[y] for y in u_same)
+    hooks_v = frozenset(parent[y] for y in v_same)
+    bridges_u = frozenset([x for x in g.adjacency[v] if comp[x] == 0])
+    bridges_v = frozenset([x for x in g.adjacency[u] if comp[x] == 1])
+    if not g.are_adjacent(u, v) and (u in bridges_u or v in bridges_v):
+        raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
+    candidate: Exchange | None = None
+    for side, near, far, same, hooks, bridges in (
+        ("u", u, v, u_same, hooks_u, bridges_u),
+        ("v", v, u, v_same, hooks_v, bridges_v),
+    ):
+        both = hooks & bridges
+        if both:
+            w = min(both)
+            y = min(y for y in same if parent[y] == w)
+            candidate = Exchange(
+                side=side, drop_foreign=(u, v), drop_tree=(w, y), add_1=(near, y), add_2=(far, w)
+            )
+            break
+    return CutAnalysis(
+        hooks_u=hooks_u,
+        bridges_u=bridges_u,
+        hooks_v=hooks_v,
+        bridges_v=bridges_v,
+        u_nbrs_same=len(u_same),
+        v_nbrs_same=len(v_same),
+        candidate=candidate,
+    )
 
 
 def all_degree_sequences(n: int, cap: int) -> Iterator[tuple[int, ...]]:

@@ -34,6 +34,11 @@ CASES: dict[str, list[str]] = {
     "solve-found": ["solve", "--graph", HOST, "--seq", HOST_SEQ],
     "solve-stalled": ["solve", "--graph", STALL, "--seq", STALL_SEQ],
     "solve-seq-file": ["solve", "--graph", HOST, "--seq", "@{inputs}/host9.seq"],
+    # random_condition_graph(120, 3, seed=23) in serialize_graph's layout, with
+    # random_degree_sequence(120, 3, Random(23)): 26 exchanges on both sides
+    "solve-found-dense": [
+        "solve", "--graph", "{inputs}/host120.txt", "--seq", "@{inputs}/host120.seq",
+    ],
     "solve-order-mismatch": ["solve", "--graph", HOST, "--seq", "2,1,1"],
     "solve-missing-file": ["solve", "--graph", "{inputs}/missing.txt", "--seq", "1,1"],
     "check-satisfied": ["check", "--graph", HOST, "--r", "3"],
