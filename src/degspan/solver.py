@@ -19,13 +19,16 @@ the recorded counts form an InfeasibilityWitness.  Under the threshold
 condition that bound is contradictory, which is exactly why the solver
 cannot stall there.
 
-``find_spanning_tree`` holds the tree as one mutable adjacency that each
+``find_spanning_tree`` holds the tree as one list adjacency that each
 exchange edits at its four endpoints, so an exchange costs O(n).  Each
-exchange splits that adjacency into a RootedForest and reads it with
-``compute_cut_sets``; at a stall the same forest and analysis become the
-witness.  ``orient_forest`` and ``apply_exchange`` take the split and the
-rewiring steps on immutable LabelledTree values, and ``validate_witness``
-rebuilds a witness with them and compares.
+exchange makes one breadth-first search from both ends of the missing edge
+(``_split``) and applies the hook/bridge rule (``_select``) to u's side, and
+to v's side only when u's side has none, with set intersections.  It builds
+no RootedForest or CutAnalysis per exchange; only a stall builds both, once,
+for the witness.  ``orient_forest``, ``compute_cut_sets`` and
+``apply_exchange`` take the same steps on immutable LabelledTree values
+through the same search and rule, and ``validate_witness`` rebuilds a
+witness with them and compares.
 """
 
 from collections.abc import Collection, Sequence
@@ -214,37 +217,49 @@ def foreign_edges(g: LabelledGraph, t: LabelledTree) -> tuple[Edge, ...]:
                  if u < v and not g.are_adjacent(u, v))
 
 
-def _split(adj: Sequence[Collection[int]], u: int, v: int) -> RootedForest | None:
-    """The tree adjacency ``adj`` cut at its edge (u, v), u < v, and oriented.
+_Split = tuple[list[int], list[int], list[int]]
 
-    ``adj``, the solver's sets or a tree's neighbour tuples, still holds
-    the edge and is only read.  Returns None when a vertex is reachable
-    from neither root.
+
+def _split(adj: Sequence[Sequence[int]], u: int, v: int) -> _Split | None:
+    """The tree adjacency ``adj`` cut at its edge (u, v), each side searched from its root.
+
+    ``adj``, the solver's lists or a tree's neighbour tuples, still holds
+    the edge and is only read.  Returns u's side and v's side as vertex
+    lists in search order, and one parent list in which each root is its
+    own parent; None when a vertex is reachable from neither root.
     """
-    component = [-1] * len(adj)
-    parent: list[int | None] = [None] * len(adj)
-    component[u] = 0
-    component[v] = 1
-    sizes = []
+    parent = [-1] * len(adj)
+    parent[u] = u
+    parent[v] = v
+    sides = []
     for root in (u, v):
-        label = component[root]
-        queue = [root]
-        for x in queue:
+        side = [root]
+        for x in side:
             for y in adj[x]:
-                if component[y] == -1:
-                    component[y] = label
+                if parent[y] < 0:
                     parent[y] = x
-                    queue.append(y)
-        sizes.append(len(queue))
-    size_u, size_v = sizes
-    if size_u + size_v != len(adj):
+                    side.append(y)
+        sides.append(side)
+    side_u, side_v = sides
+    if len(side_u) + len(side_v) != len(adj):
         return None
+    return side_u, side_v, parent
+
+
+def _forest(u: int, v: int, split: _Split) -> RootedForest:
+    """The RootedForest of a ``_split`` at (u, v), u < v: the roots' parents become None."""
+    side_u, side_v, parent = split
+    component = [0] * len(parent)
+    for x in side_v:
+        component[x] = 1
+    oriented: list[int | None] = list(parent)
+    oriented[u] = oriented[v] = None
     return RootedForest(
         removed_edge=(u, v),
         component=tuple(component),
-        parent=tuple(parent),
-        size_u=size_u,
-        size_v=size_v,
+        parent=tuple(oriented),
+        size_u=len(side_u),
+        size_v=len(side_v),
     )
 
 
@@ -258,59 +273,71 @@ def orient_forest(t: LabelledTree, u: int, v: int) -> RootedForest:
         raise ValueError(f"vertices ({u}, {v}) out of range")
     if v not in t.adjacency[u]:
         raise ValueError(f"({u}, {v}) is not a tree edge")
-    f = _split(t.adjacency, *normalized_edge(u, v))
-    if f is None:
+    u, v = normalized_edge(u, v)
+    split = _split(t.adjacency, u, v)
+    if split is None:
         raise ValueError("input is not a tree: some vertices unreachable from the split")
-    return f
+    return _forest(u, v, split)
+
+
+def _select(
+    g: LabelledGraph,
+    side: str,
+    near: int,
+    far: int,
+    vertices: Collection[int],
+    parent: Sequence[int | None],
+) -> tuple[frozenset[int], frozenset[int], frozenset[int], Exchange | None]:
+    """The exchange rule on the side of a split rooted at ``near``.
+
+    ``vertices`` is that side and ``parent`` orients it toward ``near``.
+    Returns the side's hooks, its bridges (graph neighbours of ``far``), the
+    near root's graph neighbours on it (``same``), and the exchange at the
+    smallest vertex w that is a hook and a bridge, adopting w's smallest
+    child in ``same``; the exchange is None when no vertex is both.
+    """
+    mine = frozenset(vertices)
+    bridges = mine.intersection(g.adjacency[far])
+    same = mine.intersection(g.adjacency[near])
+    # same never holds a root (no loops), so every parent read is an int
+    hooks = frozenset(map(parent.__getitem__, same))
+    both = hooks & bridges
+    if not both:
+        return hooks, bridges, same, None
+    w = min(both)
+    y = min(y for y in same if parent[y] == w)
+    x = Exchange(side=side, drop_foreign=normalized_edge(near, far), drop_tree=(w, y),
+                 add_1=(near, y), add_2=(far, w))
+    return hooks, bridges, same, x
 
 
 def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
     """Hook/bridge sets of the split plus the first applicable exchange.
 
-    Scans the u side before the v side, and within a side picks the
-    smallest hook-and-bridge vertex w, then the smallest of its children
-    adoptable by the near root.  The roots themselves can be hooks, but
-    never bridges while (u, v) is missing from the graph.
+    Applies ``_select`` to the u side and then the v side; the candidate is
+    the u side's exchange when it has one.  The roots themselves can be
+    hooks, but never bridges while (u, v) is missing from the graph.
     """
     u, v = f.removed_edge
-    comp, parent = f.component, f.parent
-    u_same = [y for y in g.adjacency[u] if comp[y] == 0]
-    v_same = [y for y in g.adjacency[v] if comp[y] == 1]
-    # y here is never its own root (no loops), so parent[y] is an int
-    hooks_u = frozenset(parent[y] for y in u_same)
-    hooks_v = frozenset(parent[y] for y in v_same)
-    bridges_u = frozenset([x for x in g.adjacency[v] if comp[x] == 0])
-    bridges_v = frozenset([x for x in g.adjacency[u] if comp[x] == 1])
-    if not g.are_adjacent(u, v) and (u in bridges_u or v in bridges_v):
+    if not g.are_adjacent(u, v) and (u in g.adjacency[v] or v in g.adjacency[u]):
         raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
-
-    # The children of w that the near root can adopt are exactly the near
-    # root's same-side graph neighbours whose parent is w.
-    candidate: Exchange | None = None
-    for side, near, far, same, hooks, bridges in (
-        ("u", u, v, u_same, hooks_u, bridges_u),
-        ("v", v, u, v_same, hooks_v, bridges_v),
-    ):
-        both = hooks & bridges
-        if both:
-            w = min(both)
-            y = min(y for y in same if parent[y] == w)
-            candidate = Exchange(
-                side=side, drop_foreign=(u, v), drop_tree=(w, y), add_1=(near, y), add_2=(far, w)
-            )
-            break
+    comp, parent = f.component, f.parent
+    side_u = [x for x, c in enumerate(comp) if c == 0]
+    side_v = [x for x, c in enumerate(comp) if c == 1]
+    hooks_u, bridges_u, same_u, x_u = _select(g, "u", u, v, side_u, parent)
+    hooks_v, bridges_v, same_v, x_v = _select(g, "v", v, u, side_v, parent)
     return CutAnalysis(
         hooks_u=hooks_u,
         bridges_u=bridges_u,
         hooks_v=hooks_v,
         bridges_v=bridges_v,
-        u_nbrs_same=len(u_same),
-        v_nbrs_same=len(v_same),
-        candidate=candidate,
+        u_nbrs_same=len(same_u),
+        v_nbrs_same=len(same_v),
+        candidate=x_u or x_v,
     )
 
 
-def _rewire(adj: list[set[int]], x: Exchange) -> None:
+def _rewire(adj: list[list[int]], x: Exchange) -> None:
     """Edit the tree adjacency ``adj`` in place along an exchange.
 
     Raises SolverInvariantError, leaving ``adj`` untouched, when a dropped
@@ -318,7 +345,8 @@ def _rewire(adj: list[set[int]], x: Exchange) -> None:
     """
     drops = (x.drop_foreign, x.drop_tree)
     adds = (x.add_1, x.add_2)
-    if not all(0 <= z < len(adj) for e in drops + adds for z in e):
+    ends = (*x.drop_foreign, *x.drop_tree, *x.add_1, *x.add_2)
+    if min(ends) < 0 or max(ends) >= len(adj):
         raise SolverInvariantError(f"exchange {x} names a vertex outside the tree")
     for a, b in drops:
         if b not in adj[a]:
@@ -330,11 +358,11 @@ def _rewire(adj: list[set[int]], x: Exchange) -> None:
         adj[a].remove(b)
         adj[b].remove(a)
     for a, b in adds:
-        adj[a].add(b)
-        adj[b].add(a)
+        adj[a].append(b)
+        adj[b].append(a)
 
 
-def _tree_of(adj: list[set[int]]) -> LabelledTree:
+def _tree_of(adj: list[list[int]]) -> LabelledTree:
     """Freeze the solver's tree adjacency, which its invariant checks keep simple."""
     return LabelledTree(n=len(adj), adjacency=tuple(tuple(sorted(a)) for a in adj))
 
@@ -347,7 +375,7 @@ def apply_exchange(t: LabelledTree, x: Exchange) -> LabelledTree:
     reconnect, so the result is again a spanning tree.  A stale exchange,
     one that does not fit ``t``, raises SolverInvariantError.
     """
-    adj = [set(a) for a in t.adjacency]
+    adj = [list(a) for a in t.adjacency]
     _rewire(adj, x)
     return _tree_of(adj)
 
@@ -475,7 +503,7 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
     """Search for a spanning tree of g with the exact degree vector seq.
 
     Starts from the canonical realization and exchanges away missing
-    edges, smallest first.  The tree lives in one adjacency that each
+    edges, smallest first.  The tree lives in one list adjacency that each
     exchange edits at its four endpoints, and the ascending list of missing
     edges loses the one or two tree edges the exchange drops, so an
     exchange costs O(n) and the LabelledTree is built once, at the end or
@@ -489,22 +517,29 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
     t = realize_tree(seq)
     steps: list[ExchangeStep] = []
     missing = list(foreign_edges(g, t))
-    adj = [set(a) for a in t.adjacency]
+    adj = [list(a) for a in t.adjacency]
+    degrees = seq.degrees
     while missing:
-        f = _split(adj, *missing[0])
-        if f is None:
+        u, v = missing[0]
+        split = _split(adj, u, v)
+        if split is None:
             raise SolverInvariantError(f"vertices unreachable from both ends of {missing[0]}")
-        c = compute_cut_sets(g, f)
-        x = c.candidate
+        side_u, side_v, parent = split
+        # each root is on its own side, so it is a bridge iff the other root sees it
+        if g.are_adjacent(v, u) or g.are_adjacent(u, v):
+            raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
+        x = (_select(g, "u", u, v, side_u, parent)[3]
+             or _select(g, "v", v, u, side_v, parent)[3])
         if x is None:
-            witness = build_witness(g, _tree_of(adj), f, c, r)
+            f = _forest(u, v, split)
+            witness = build_witness(g, _tree_of(adj), f, compute_cut_sets(g, f), r)
             return SolveResult(tree=None, witness=witness, steps=tuple(steps))
         for a, b in (x.add_1, x.add_2):
             if not g.are_adjacent(a, b):
                 raise SolverInvariantError(f"exchange {x} adds ({a}, {b}), not a graph edge")
         _rewire(adj, x)
         for z in (*x.drop_foreign, *x.drop_tree):
-            if len(adj[z]) != seq.degrees[z]:
+            if len(adj[z]) != degrees[z]:
                 raise SolverInvariantError(f"exchange {x} changed the degree vector at {z}")
         del missing[0]
         drop_tree = normalized_edge(*x.drop_tree)

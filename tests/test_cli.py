@@ -211,7 +211,7 @@ class TestSolve:
         assert code == 2
 
     @pytest.mark.parametrize("module, attr, fake", [
-        (degspan.solver, "_rewire", lambda adj, x: adj[x.add_1[0]].add(x.add_1[1])),
+        (degspan.solver, "_rewire", lambda adj, x: adj[x.add_1[0]].append(x.add_1[1])),
         (degspan.cli, "verify_tree", lambda g, t, seq: VerifyResult(False, "forced")),
     ])
     def test_broken_invariant_exits_3(self, capsys, tmp_path, monkeypatch, module, attr, fake):

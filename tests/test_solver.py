@@ -43,10 +43,13 @@ from degspan.tree import tree_defect
 from support import (
     complete_graph,
     cycle_graph,
+    dense_host,
     graph_with_sequence,
+    low_degree_sequence,
     matchings,
     path_graph,
 )
+from support import compute_cut_sets as reference_cut_sets  # the comprehension-based rule
 
 
 class TestOrientForest:
@@ -241,7 +244,7 @@ class TestFindSpanningTree:
     def test_degree_change_raises_invariant_error(self, monkeypatch):
         # The near root gains the adopted child without the rest of the exchange.
         monkeypatch.setattr(
-            degspan.solver, "_rewire", lambda adj, x: adj[x.add_1[0]].add(x.add_1[1])
+            degspan.solver, "_rewire", lambda adj, x: adj[x.add_1[0]].append(x.add_1[1])
         )
         seq = validate_degree_sequence([2, 2, 2, 1, 1])
         with pytest.raises(SolverInvariantError, match="degree vector"):
@@ -254,13 +257,13 @@ class TestFindSpanningTree:
     ])
     def test_bad_exchange_raises_invariant_error(self, monkeypatch, change, message):
         # On C5 the only exchange drops (0, 3) and (2, 4) and adds (0, 4) and (3, 2).
-        select = degspan.solver.compute_cut_sets
+        select = degspan.solver._select
 
         def tampered(*args):
-            c = select(*args)
-            return c._replace(candidate=c.candidate._replace(**change))
+            *sets, x = select(*args)
+            return *sets, x._replace(**change)
 
-        monkeypatch.setattr(degspan.solver, "compute_cut_sets", tampered)
+        monkeypatch.setattr(degspan.solver, "_select", tampered)
         with pytest.raises(SolverInvariantError, match=message):
             find_spanning_tree(cycle_graph(5), validate_degree_sequence([2, 2, 2, 1, 1]))
 
@@ -359,6 +362,74 @@ class TestFindSpanningTree:
                 assert validate_witness(g, w)
             outcomes.append(res.ok)
         assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
+
+
+def _exchange_states():
+    """(g, seq, state tree, solve step or None at a stall) for every state of seeded solves.
+
+    Half the hosts meet the r bound and half are sparse G(n, p) off it, so
+    the states include stalls after several exchanges.
+    """
+    for i in range(24):
+        rng = random.Random(30_000 + i)
+        n = rng.randint(8, 150)
+        r = rng.choice((3, 4))
+        on_bound = i % 2 == 0
+        p = rng.uniform(0.5, 0.8) if on_bound else rng.uniform(0.05, 0.4)
+        g = dense_host(n, r, p, rng, repair=on_bound)
+        seq = random_degree_sequence(n, r, rng) if i % 3 else low_degree_sequence(g, r, rng)
+        res = find_spanning_tree(g, seq)
+        t = realize_tree(seq)
+        for step in res.steps:
+            yield g, seq, t, step
+            t = apply_exchange(t, step.exchange)
+        if not res.ok:
+            assert t == res.witness.tree
+            yield g, seq, t, None
+
+
+class TestCutSetsReference:
+    """The set-algebra exchange rule against the comprehension-based reference."""
+
+    def test_cut_sets_match_the_reference_on_every_state(self):
+        states = stalls = 0
+        for g, _, t, step in _exchange_states():
+            for u, v in foreign_edges(g, t)[:3]:
+                f = orient_forest(t, u, v)
+                assert compute_cut_sets(g, f) == reference_cut_sets(g, f)
+            states += 1
+            stalls += step is None
+        assert states >= 300 and stalls >= 10
+
+    @given(graph_with_sequence(min_n=2, max_n=9))
+    @settings(max_examples=150, deadline=None)
+    def test_cut_sets_match_the_reference_at_every_tree_edge(self, case):
+        g, seq = case
+        t = realize_tree(seq)
+        for u, v in t.edges:
+            f = orient_forest(t, u, v)
+            assert compute_cut_sets(g, f) == reference_cut_sets(g, f)
+
+    def test_loop_takes_the_reference_candidate(self):
+        for g, seq, t, step in _exchange_states():
+            f = orient_forest(t, *foreign_edges(g, t)[0])
+            c = reference_cut_sets(g, f)
+            if step is None:
+                assert c.candidate is None
+                w = find_spanning_tree(g, seq).witness
+                assert build_witness(g, t, f, c, max(2, seq.max_degree)) == w
+            else:
+                assert c.candidate == step.exchange
+
+    def test_solve_without_a_stall_builds_no_records(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a step record was built")
+
+        monkeypatch.setattr(degspan.solver, "orient_forest", fail)
+        monkeypatch.setattr(degspan.solver, "compute_cut_sets", fail)
+        g = random_condition_graph(120, 3, seed=23)
+        res = find_spanning_tree(g, random_degree_sequence(120, 3, random.Random(23)))
+        assert res.ok and len(res.steps) == 26
 
 
 class TestGuarantee:
