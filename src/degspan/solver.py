@@ -287,14 +287,16 @@ def _select(
     far: int,
     vertices: Collection[int],
     parent: Sequence[int | None],
+    adj: Sequence[Sequence[int]],
 ) -> tuple[frozenset[int], frozenset[int], frozenset[int], Exchange | None]:
     """The exchange rule on the side of a split rooted at ``near``.
 
-    ``vertices`` is that side and ``parent`` orients it toward ``near``.
-    Returns the side's hooks, its bridges (graph neighbours of ``far``), the
-    near root's graph neighbours on it (``same``), and the exchange at the
-    smallest vertex w that is a hook and a bridge, adopting w's smallest
-    child in ``same``; the exchange is None when no vertex is both.
+    ``vertices`` is that side, ``parent`` orients it toward ``near``, and
+    ``adj[w]`` lists at least the children of w.  Returns the side's hooks,
+    its bridges (graph neighbours of ``far``), the near root's graph
+    neighbours on it (``same``), and the exchange at the smallest vertex w
+    that is a hook and a bridge, adopting w's smallest child in ``same``;
+    the exchange is None when no vertex is both.
     """
     mine = frozenset(vertices)
     bridges = mine.intersection(g.adjacency[far])
@@ -305,7 +307,7 @@ def _select(
     if not both:
         return hooks, bridges, same, None
     w = min(both)
-    y = min(y for y in same if parent[y] == w)
+    y = min(y for y in adj[w] if parent[y] == w and y in same)
     x = Exchange(side=side, drop_foreign=normalized_edge(near, far), drop_tree=(w, y),
                  add_1=(near, y), add_2=(far, w))
     return hooks, bridges, same, x
@@ -324,8 +326,13 @@ def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
     comp, parent = f.component, f.parent
     side_u = [x for x, c in enumerate(comp) if c == 0]
     side_v = [x for x, c in enumerate(comp) if c == 1]
-    hooks_u, bridges_u, same_u, x_u = _select(g, "u", u, v, side_u, parent)
-    hooks_v, bridges_v, same_v, x_v = _select(g, "v", v, u, side_v, parent)
+    # the tree's adjacency is not at hand, so w's children come from parent
+    children: list[list[int]] = [[] for _ in comp]
+    for x, p in enumerate(parent):
+        if p is not None:
+            children[p].append(x)
+    hooks_u, bridges_u, same_u, x_u = _select(g, "u", u, v, side_u, parent, children)
+    hooks_v, bridges_v, same_v, x_v = _select(g, "v", v, u, side_v, parent, children)
     return CutAnalysis(
         hooks_u=hooks_u,
         bridges_u=bridges_u,
@@ -528,8 +535,8 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
         # each root is on its own side, so it is a bridge iff the other root sees it
         if g.are_adjacent(v, u) or g.are_adjacent(u, v):
             raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
-        x = (_select(g, "u", u, v, side_u, parent)[3]
-             or _select(g, "v", v, u, side_v, parent)[3])
+        x = (_select(g, "u", u, v, side_u, parent, adj)[3]
+             or _select(g, "v", v, u, side_v, parent, adj)[3])
         if x is None:
             f = _forest(u, v, split)
             witness = build_witness(g, _tree_of(adj), f, compute_cut_sets(g, f), r)
