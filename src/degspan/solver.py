@@ -19,24 +19,26 @@ the recorded counts form an InfeasibilityWitness.  Under the threshold
 condition that bound is contradictory, which is exactly why the solver
 cannot stall there.
 
-``find_spanning_tree`` holds the tree as one list adjacency that each
-exchange edits at its four endpoints, so an exchange costs O(n).  Each
+``find_spanning_tree`` decodes the canonical Prüfer word straight into one
+list adjacency, which each exchange edits at its four endpoints.  Each
 exchange makes one breadth-first search from both ends of the missing edge
-(``_split``) and applies the hook/bridge rule (``_select``) to u's side, and
-to v's side only when u's side has none, with set intersections.  It builds
-no RootedForest or CutAnalysis per exchange; only a stall builds both, once,
+(``_split``), then walks u's side's bridges in ascending order, v's only
+when u's has none, and stops at the first that is also a hook
+(``_exchange``).  So an exchange costs O(n) and builds no set or record;
+only a stall builds the hook/bridge sets, a RootedForest and a CutAnalysis,
 for the witness.  ``orient_forest``, ``compute_cut_sets`` and
-``apply_exchange`` take the same steps on immutable LabelledTree values
-through the same search and rule, and ``validate_witness`` rebuilds a
-witness with them and compares.
+``apply_exchange`` take the same steps on LabelledTree values, and
+``validate_witness`` rebuilds a witness with them and compares.
 """
 
+from bisect import bisect_left
 from collections.abc import Collection, Sequence
 from typing import Any, NamedTuple
 
 from .condition import degree_sum_threshold
 from .graph import Edge, LabelledGraph, normalized_edge
-from .sequences import DegreeSequence, realize_tree
+from .sequences import DegreeSequence, _accept_all, canonical_word, prufer_edges
+from .sequences import realize_tree  # noqa: F401 -- unused, but bench/tracing.py wraps it here
 from .tree import LabelledTree, tree_defect
 
 __all__ = [
@@ -212,9 +214,19 @@ class VerifyResult(NamedTuple):
 
 
 def foreign_edges(g: LabelledGraph, t: LabelledTree) -> tuple[Edge, ...]:
-    """Tree edges absent from the graph, ascending (phi); reads ``t.adjacency`` with u < v."""
-    return tuple((u, v) for u, nbrs in enumerate(t.adjacency) for v in nbrs
-                 if u < v and not g.are_adjacent(u, v))
+    """Tree edges absent from the graph, ascending (phi); reads ``t.adjacency`` with u < v.
+
+    Each tree row is looked up in the graph's row by bisection; a tree
+    edge at a vertex past the graph's order raises IndexError.
+    """
+    out: list[Edge] = []
+    for u, nbrs in enumerate(t.adjacency):
+        if nbrs:
+            row = g.adjacency[u]
+            for v in nbrs:
+                if u < v and ((i := bisect_left(row, v)) == len(row) or row[i] != v):
+                    out.append((u, v))
+    return tuple(out)
 
 
 _Split = tuple[list[int], list[int], list[int]]
@@ -282,41 +294,63 @@ def orient_forest(t: LabelledTree, u: int, v: int) -> RootedForest:
 
 def _select(
     g: LabelledGraph,
-    side: str,
     near: int,
     far: int,
     vertices: Collection[int],
     parent: Sequence[int | None],
-    adj: Sequence[Sequence[int]],
-) -> tuple[frozenset[int], frozenset[int], frozenset[int], Exchange | None]:
-    """The exchange rule on the side of a split rooted at ``near``.
+) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """Hooks, bridges (graph neighbours of ``far``) and ``same`` (those of ``near``) of a side.
 
-    ``vertices`` is that side, ``parent`` orients it toward ``near``, and
-    ``adj[w]`` lists at least the children of w.  Returns the side's hooks,
-    its bridges (graph neighbours of ``far``), the near root's graph
-    neighbours on it (``same``), and the exchange at the smallest vertex w
-    that is a hook and a bridge, adopting w's smallest child in ``same``;
-    the exchange is None when no vertex is both.
+    ``vertices`` is the side of a split rooted at ``near``, and ``parent``
+    orients it toward ``near``.  Only a witness counts these sets.
     """
     mine = frozenset(vertices)
-    bridges = mine.intersection(g.adjacency[far])
     same = mine.intersection(g.adjacency[near])
     # same never holds a root (no loops), so every parent read is an int
-    hooks = frozenset(map(parent.__getitem__, same))
-    both = hooks & bridges
-    if not both:
-        return hooks, bridges, same, None
-    w = min(both)
-    y = min(y for y in adj[w] if parent[y] == w and y in same)
-    x = Exchange(side=side, drop_foreign=normalized_edge(near, far), drop_tree=(w, y),
-                 add_1=(near, y), add_2=(far, w))
-    return hooks, bridges, same, x
+    return frozenset(map(parent.__getitem__, same)), mine.intersection(g.adjacency[far]), same
+
+
+def _exchange(
+    g: LabelledGraph,
+    side: str,
+    near: int,
+    far: int,
+    mine: Collection[int],
+    parent: Sequence[int | None],
+    adj: Sequence[Sequence[int]],
+) -> Exchange | None:
+    """The exchange on the side ``mine`` of a split rooted at ``near``, or None.
+
+    ``parent`` orients that side toward ``near`` and ``adj[w]`` lists at
+    least the children of w.  Walks the side's bridges (graph neighbours of
+    ``far``) in ascending order and stops at the first w that is also a
+    hook: a parent of some y that ``near`` could adopt (near-y a graph
+    edge).  The exchange drops (w, y) for the smallest such y.
+    """
+    row = g.adjacency[far]
+    if 4 * len(mine) < len(row):
+        # a small side: look each of its vertices up in the far root's row
+        row = sorted(w for w in mine if (i := bisect_left(row, w)) < len(row) and row[i] == w)
+    on_side = set(mine)
+    near_row = g.adjacency[near]
+    for w in row:
+        if w not in on_side:
+            continue
+        y = -1
+        for c in adj[w]:
+            if (parent[c] == w and (y < 0 or c < y)
+                    and (i := bisect_left(near_row, c)) < len(near_row) and near_row[i] == c):
+                y = c
+        if y >= 0:
+            return Exchange(side=side, drop_foreign=normalized_edge(near, far),
+                            drop_tree=(w, y), add_1=(near, y), add_2=(far, w))
+    return None
 
 
 def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
     """Hook/bridge sets of the split plus the first applicable exchange.
 
-    Applies ``_select`` to the u side and then the v side; the candidate is
+    The sets come from ``_select`` and the candidate from ``_exchange``,
     the u side's exchange when it has one.  The roots themselves can be
     hooks, but never bridges while (u, v) is missing from the graph.
     """
@@ -331,8 +365,8 @@ def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
     for x, p in enumerate(parent):
         if p is not None:
             children[p].append(x)
-    hooks_u, bridges_u, same_u, x_u = _select(g, "u", u, v, side_u, parent, children)
-    hooks_v, bridges_v, same_v, x_v = _select(g, "v", v, u, side_v, parent, children)
+    hooks_u, bridges_u, same_u = _select(g, u, v, side_u, parent)
+    hooks_v, bridges_v, same_v = _select(g, v, u, side_v, parent)
     return CutAnalysis(
         hooks_u=hooks_u,
         bridges_u=bridges_u,
@@ -340,7 +374,8 @@ def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
         bridges_v=bridges_v,
         u_nbrs_same=len(same_u),
         v_nbrs_same=len(same_v),
-        candidate=x_u or x_v,
+        candidate=(_exchange(g, "u", u, v, side_u, parent, children)
+                   or _exchange(g, "v", v, u, side_v, parent, children)),
     )
 
 
@@ -509,9 +544,9 @@ def validate_witness(g: LabelledGraph, w: InfeasibilityWitness) -> bool:
 def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
     """Search for a spanning tree of g with the exact degree vector seq.
 
-    Starts from the canonical realization and exchanges away missing
-    edges, smallest first.  The tree lives in one list adjacency that each
-    exchange edits at its four endpoints, and the ascending list of missing
+    Decodes the canonical word into one list adjacency of the tree and
+    exchanges away missing edges, smallest first.  Each exchange edits that
+    adjacency at its four endpoints, and the ascending list of missing
     edges loses the one or two tree edges the exchange drops, so an
     exchange costs O(n) and the LabelledTree is built once, at the end or
     at a stall.  Success is guaranteed whenever the graph meets the
@@ -521,10 +556,15 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
     if g.n != seq.n:
         raise ValueError(f"graph order {g.n} != sequence length {seq.n}")
     r = max(2, seq.max_degree)
-    t = realize_tree(seq)
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    missing: list[Edge] = []
+    for a, b in prufer_edges(canonical_word(seq), g.n, _accept_all):
+        adj[a].append(b)
+        adj[b].append(a)
+        if (i := bisect_left(row := g.adjacency[a], b)) == len(row) or row[i] != b:
+            missing.append(normalized_edge(a, b))
+    missing.sort()
     steps: list[ExchangeStep] = []
-    missing = list(foreign_edges(g, t))
-    adj = [list(a) for a in t.adjacency]
     degrees = seq.degrees
     while missing:
         u, v = missing[0]
@@ -535,8 +575,8 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
         # each root is on its own side, so it is a bridge iff the other root sees it
         if g.are_adjacent(v, u) or g.are_adjacent(u, v):
             raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
-        x = (_select(g, "u", u, v, side_u, parent, adj)[3]
-             or _select(g, "v", v, u, side_v, parent, adj)[3])
+        x = (_exchange(g, "u", u, v, side_u, parent, adj)
+             or _exchange(g, "v", v, u, side_v, parent, adj))
         if x is None:
             f = _forest(u, v, split)
             witness = build_witness(g, _tree_of(adj), f, compute_cut_sets(g, f), r)

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 from typing import ForwardRef
@@ -45,6 +46,7 @@ from support import (
     cycle_graph,
     dense_host,
     graph_with_sequence,
+    graphs,
     low_degree_sequence,
     matchings,
     path_graph,
@@ -257,20 +259,20 @@ class TestFindSpanningTree:
     ])
     def test_bad_exchange_raises_invariant_error(self, monkeypatch, change, message):
         # On C5 the only exchange drops (0, 3) and (2, 4) and adds (0, 4) and (3, 2).
-        select = degspan.solver._select
+        exchange = degspan.solver._exchange
 
         def tampered(*args):
-            *sets, x = select(*args)
-            return *sets, x._replace(**change)
+            x = exchange(*args)
+            return x and x._replace(**change)
 
-        monkeypatch.setattr(degspan.solver, "_select", tampered)
+        monkeypatch.setattr(degspan.solver, "_exchange", tampered)
         with pytest.raises(SolverInvariantError, match=message):
             find_spanning_tree(cycle_graph(5), validate_degree_sequence([2, 2, 2, 1, 1]))
 
     def test_disconnected_split_raises_invariant_error(self, monkeypatch):
         # The right degrees on a triangle plus a separate edge, not a tree.
-        fake = LabelledTree.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
-        monkeypatch.setattr(degspan.solver, "realize_tree", lambda seq: fake)
+        fake = [(0, 1), (1, 2), (0, 2), (3, 4)]
+        monkeypatch.setattr(degspan.solver, "prufer_edges", lambda word, n, keep: fake)
         with pytest.raises(SolverInvariantError, match="unreachable"):
             find_spanning_tree(cycle_graph(5), validate_degree_sequence([2, 2, 2, 1, 1]))
 
@@ -430,6 +432,95 @@ class TestCutSetsReference:
         g = random_condition_graph(120, 3, seed=23)
         res = find_spanning_tree(g, random_degree_sequence(120, 3, random.Random(23)))
         assert res.ok and len(res.steps) == 26
+
+
+def _reference_exchange(g, f, side):
+    """The reference rule on one side alone: the smallest hook-and-bridge w, its smallest y."""
+    c = reference_cut_sets(g, f)
+    u, v = f.removed_edge
+    if side == "u":
+        near, far, both = u, v, c.hooks_u & c.bridges_u
+    else:
+        near, far, both = v, u, c.hooks_v & c.bridges_v
+    if not both:
+        return None
+    w = min(both)
+    y = min(y for y in g.adjacency[near] if f.parent[y] == w)
+    return Exchange(side=side, drop_foreign=(u, v), drop_tree=(w, y),
+                    add_1=(near, y), add_2=(far, w))
+
+
+def _walks(g, t, u, v):
+    """``_exchange`` on both sides of tree edge (u, v), called as the loop and compute_cut_sets do.
+
+    The loop passes its list adjacency, which exchanges leave unsorted (here
+    reversed), and ``_split``'s parents, in which each root is its own
+    parent; compute_cut_sets passes child lists and a parent tuple with None
+    at the roots.
+    """
+    f = orient_forest(t, u, v)
+    adj = [a[::-1] for a in map(list, t.adjacency)]
+    side_u, side_v, loop_parent = degspan.solver._split(adj, u, v)
+    children = [[] for _ in range(t.n)]
+    for x, p in enumerate(f.parent):
+        if p is not None:
+            children[p].append(x)
+    walks = {}
+    for side, near, far, mine in (("u", u, v, side_u), ("v", v, u, side_v)):
+        in_loop = degspan.solver._exchange(g, side, near, far, mine, loop_parent, adj)
+        in_cut_sets = degspan.solver._exchange(g, side, near, far, mine, f.parent, children)
+        assert in_loop == in_cut_sets
+        walks[side] = in_loop
+    return f, walks
+
+
+class TestExchangeWalk:
+    """The first-hit walk against the reference rule, on each side of a split."""
+
+    def _check(self, g, t, u, v):
+        f, walks = _walks(g, t, u, v)
+        for side in "uv":
+            assert walks[side] == _reference_exchange(g, f, side)
+        assert (walks["u"] or walks["v"]) == reference_cut_sets(g, f).candidate
+
+    @given(graph_with_sequence(min_n=2, max_n=9))
+    @settings(max_examples=150, deadline=None)
+    def test_walk_matches_the_reference_at_every_tree_edge(self, case):
+        g, seq = case
+        t = realize_tree(seq)
+        for u, v in t.edges:
+            self._check(g, t, u, v)
+
+    def test_walk_matches_the_reference_on_every_state(self):
+        states = 0
+        for g, _, t, _ in _exchange_states():
+            for u, v in foreign_edges(g, t)[:3]:
+                self._check(g, t, u, v)
+            states += 1
+        assert states >= 300
+
+    def test_small_side_lookup_and_neighbour_walk_both_run(self, monkeypatch):
+        # Only the small-side lookup bisects into the far root's row.
+        rows = []
+        branches = {"looked up": 0, "walked": 0}
+        exchange = degspan.solver._exchange
+
+        def recording(a, x, *rest):
+            rows.append(a)
+            return bisect.bisect_left(a, x, *rest)
+
+        def classified(g, side, near, far, *rest):
+            rows.clear()
+            x = exchange(g, side, near, far, *rest)
+            branches["looked up" if any(a is g.adjacency[far] for a in rows) else "walked"] += 1
+            return x
+
+        monkeypatch.setattr(degspan.solver, "bisect_left", recording)
+        monkeypatch.setattr(degspan.solver, "_exchange", classified)
+        for g, _, t, _ in _exchange_states():
+            for u, v in foreign_edges(g, t)[:3]:
+                self._check(g, t, u, v)
+        assert min(branches.values()) >= 100, branches
 
 
 class TestGuarantee:
@@ -627,6 +718,33 @@ class TestVerifyTree:
         assert verify_tree(complete_graph(4), t, validate_degree_sequence([2, 2, 1, 1])).reason == (
             "edge count 2 != n - 1 = 3"
         )
+
+
+class TestForeignEdges:
+    def test_tree_edge_past_the_graph_order_raises_index_error(self):
+        with pytest.raises(IndexError):
+            foreign_edges(path_graph(3), LabelledTree.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+        # a vertex past the order with no tree edge is never looked up
+        t = LabelledTree.from_edges(4, [(0, 1), (0, 2)])
+        assert foreign_edges(path_graph(3), t) == ((0, 2),)
+
+    @given(graphs(min_n=2, max_n=9), graphs(min_n=2, max_n=11))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_are_adjacent_scan(self, g, h):
+        # t holds any simple graph, as a claimed tree may, on an order up to two past g's
+        t = LabelledTree(h.n, h.adjacency)
+
+        def scan():
+            return tuple((u, v) for u, nbrs in enumerate(t.adjacency) for v in nbrs
+                         if u < v and not g.are_adjacent(u, v))
+
+        try:
+            expected = scan()
+        except IndexError:
+            with pytest.raises(IndexError):
+                foreign_edges(g, t)
+        else:
+            assert foreign_edges(g, t) == expected
 
 
 class TestTreeContainer:
