@@ -45,6 +45,12 @@ def normalized_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _row_has(row: tuple[int, ...], v: int) -> bool:
+    """True iff v is in ``row``, an ascending adjacency row, found by bisection."""
+    i = bisect_left(row, v)
+    return i < len(row) and row[i] == v
+
+
 def _freeze(adjacency: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     """Sorted, duplicate-free neighbour tuples from validated, symmetric lists.
 

@@ -24,19 +24,18 @@ list adjacency, which each exchange edits at its four endpoints.  Each
 exchange makes one breadth-first search from both ends of the missing edge
 (``_split``), then walks u's side's bridges in ascending order, v's only
 when u's has none, and stops at the first that is also a hook
-(``_exchange``).  So an exchange costs O(n) and builds no set or record;
-only a stall builds the hook/bridge sets, a RootedForest and a CutAnalysis,
-for the witness.  ``orient_forest``, ``compute_cut_sets`` and
+(``_exchange``).  So an exchange costs O(n) and builds no hook or bridge
+set and no record; only a stall builds those sets, a RootedForest and a
+CutAnalysis, for the witness.  ``orient_forest``, ``compute_cut_sets`` and
 ``apply_exchange`` take the same steps on LabelledTree values, and
 ``validate_witness`` rebuilds a witness with them and compares.
 """
 
-from bisect import bisect_left
 from collections.abc import Collection, Sequence
 from typing import Any, NamedTuple
 
 from .condition import degree_sum_threshold
-from .graph import Edge, LabelledGraph, normalized_edge
+from .graph import Edge, LabelledGraph, _row_has, normalized_edge
 from .sequences import DegreeSequence, _accept_all, canonical_word, prufer_edges
 from .sequences import realize_tree  # noqa: F401 -- unused, but bench/tracing.py wraps it here
 from .tree import LabelledTree, tree_defect
@@ -224,7 +223,7 @@ def foreign_edges(g: LabelledGraph, t: LabelledTree) -> tuple[Edge, ...]:
         if nbrs:
             row = g.adjacency[u]
             for v in nbrs:
-                if u < v and ((i := bisect_left(row, v)) == len(row) or row[i] != v):
+                if u < v and not _row_has(row, v):
                     out.append((u, v))
     return tuple(out)
 
@@ -322,24 +321,19 @@ def _exchange(
     """The exchange on the side ``mine`` of a split rooted at ``near``, or None.
 
     ``parent`` orients that side toward ``near`` and ``adj[w]`` lists at
-    least the children of w.  Walks the side's bridges (graph neighbours of
-    ``far``) in ascending order and stops at the first w that is also a
-    hook: a parent of some y that ``near`` could adopt (near-y a graph
-    edge).  The exchange drops (w, y) for the smallest such y.
+    least the children of w.  Walks the far root's graph row in ascending
+    order, skipping vertices off the side, and stops at the first w that
+    is also a hook: a parent of some y that ``near`` could adopt (near-y a
+    graph edge).  The exchange drops (w, y) for the smallest such y.
     """
-    row = g.adjacency[far]
-    if 4 * len(mine) < len(row):
-        # a small side: look each of its vertices up in the far root's row
-        row = sorted(w for w in mine if (i := bisect_left(row, w)) < len(row) and row[i] == w)
     on_side = set(mine)
     near_row = g.adjacency[near]
-    for w in row:
+    for w in g.adjacency[far]:
         if w not in on_side:
             continue
         y = -1
         for c in adj[w]:
-            if (parent[c] == w and (y < 0 or c < y)
-                    and (i := bisect_left(near_row, c)) < len(near_row) and near_row[i] == c):
+            if parent[c] == w and (y < 0 or c < y) and _row_has(near_row, c):
                 y = c
         if y >= 0:
             return Exchange(side=side, drop_foreign=normalized_edge(near, far),
@@ -561,7 +555,7 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
     for a, b in prufer_edges(canonical_word(seq), g.n, _accept_all):
         adj[a].append(b)
         adj[b].append(a)
-        if (i := bisect_left(row := g.adjacency[a], b)) == len(row) or row[i] != b:
+        if not _row_has(g.adjacency[a], b):
             missing.append(normalized_edge(a, b))
     missing.sort()
     steps: list[ExchangeStep] = []

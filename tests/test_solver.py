@@ -1,4 +1,3 @@
-import bisect
 import itertools
 import random
 from typing import ForwardRef
@@ -498,29 +497,6 @@ class TestExchangeWalk:
                 self._check(g, t, u, v)
             states += 1
         assert states >= 300
-
-    def test_small_side_lookup_and_neighbour_walk_both_run(self, monkeypatch):
-        # Only the small-side lookup bisects into the far root's row.
-        rows = []
-        branches = {"looked up": 0, "walked": 0}
-        exchange = degspan.solver._exchange
-
-        def recording(a, x, *rest):
-            rows.append(a)
-            return bisect.bisect_left(a, x, *rest)
-
-        def classified(g, side, near, far, *rest):
-            rows.clear()
-            x = exchange(g, side, near, far, *rest)
-            branches["looked up" if any(a is g.adjacency[far] for a in rows) else "walked"] += 1
-            return x
-
-        monkeypatch.setattr(degspan.solver, "bisect_left", recording)
-        monkeypatch.setattr(degspan.solver, "_exchange", classified)
-        for g, _, t, _ in _exchange_states():
-            for u, v in foreign_edges(g, t)[:3]:
-                self._check(g, t, u, v)
-        assert min(branches.values()) >= 100, branches
 
 
 class TestGuarantee:
