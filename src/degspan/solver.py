@@ -20,13 +20,16 @@ condition that bound is contradictory, which is exactly why the solver
 cannot stall there.
 
 ``find_spanning_tree`` decodes the canonical Prüfer word straight into one
-list adjacency, which each exchange edits at its four endpoints.  Each
-exchange makes one breadth-first search from both ends of the missing edge
-(``_split``), then walks u's side's bridges in ascending order, v's only
-when u's has none, and stops at the first that is also a hook
-(``_exchange``).  So an exchange costs O(n) and builds no hook or bridge
-set and no record; only a stall builds those sets, a RootedForest and a
-CutAnalysis, for the witness.  ``orient_forest``, ``compute_cut_sets`` and
+list adjacency, which each exchange edits at its four endpoints.  One
+search (``_split``) at the first missing edge orients the whole tree, and
+each exchange keeps that orientation: it reroots it at the missing edge's
+parent end, stamps the child end's subtree as that end's side, walks u's
+side's bridges in ascending order, v's only when u's has none, stops at the
+first that is also a hook (``_exchange``) and re-hangs the moved subtrees.
+So no exchange searches the whole tree or builds a hook or bridge set or a
+record; only a stall builds those sets, a RootedForest and a CutAnalysis,
+for the witness.  A stall's split and a found tree are checked against the
+kept orientation.  ``orient_forest``, ``compute_cut_sets`` and
 ``apply_exchange`` take the same steps on LabelledTree values, and
 ``validate_witness`` rebuilds a witness with them and compares.
 """
@@ -237,7 +240,8 @@ def _split(adj: Sequence[Sequence[int]], u: int, v: int) -> _Split | None:
     ``adj``, the solver's lists or a tree's neighbour tuples, still holds
     the edge and is only read.  Returns u's side and v's side as vertex
     lists in search order, and one parent list in which each root is its
-    own parent; None when a vertex is reachable from neither root.
+    own parent; None when a vertex is reachable from neither root.  The
+    exchange loop splits at its first missing edge, a stall and its end only.
     """
     parent = [-1] * len(adj)
     parent[u] = u
@@ -314,22 +318,25 @@ def _exchange(
     side: str,
     near: int,
     far: int,
-    mine: Collection[int],
+    label: Sequence[int],
+    tag: int,
+    inside: bool,
     parent: Sequence[int | None],
     adj: Sequence[Sequence[int]],
 ) -> Exchange | None:
-    """The exchange on the side ``mine`` of a split rooted at ``near``, or None.
+    """The exchange on the side of a split rooted at ``near``, or None.
 
-    ``parent`` orients that side toward ``near`` and ``adj[w]`` lists at
-    least the children of w.  Walks the far root's graph row in ascending
-    order, skipping vertices off the side, and stops at the first w that
-    is also a hook: a parent of some y that ``near`` could adopt (near-y a
-    graph edge).  The exchange drops (w, y) for the smallest such y.
+    The side holds the vertices x with ``(label[x] == tag) == inside``,
+    ``parent`` orients it toward ``near`` (the roots' own entries are read
+    only when near-far is a graph edge) and ``adj[w]`` lists at least the
+    children of w.  Walks the far root's graph row in ascending order,
+    skipping vertices off the side, and stops at the first w that is also a
+    hook: a parent of some y that ``near`` could adopt (near-y a graph
+    edge).  The exchange drops (w, y) for the smallest such y.
     """
-    on_side = set(mine)
     near_row = g.adjacency[near]
     for w in g.adjacency[far]:
-        if w not in on_side:
+        if (label[w] == tag) != inside:
             continue
         y = -1
         for c in adj[w]:
@@ -368,8 +375,8 @@ def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
         bridges_v=bridges_v,
         u_nbrs_same=len(same_u),
         v_nbrs_same=len(same_v),
-        candidate=(_exchange(g, "u", u, v, side_u, parent, children)
-                   or _exchange(g, "v", v, u, side_v, parent, children)),
+        candidate=(_exchange(g, "u", u, v, comp, 1, False, parent, children)
+                   or _exchange(g, "v", v, u, comp, 1, True, parent, children)),
     )
 
 
@@ -535,17 +542,34 @@ def validate_witness(g: LabelledGraph, w: InfeasibilityWitness) -> bool:
     return build_witness(g, w.tree, f, c, w.r) == w and all(i.holds for i in w.chain)
 
 
+def _reroot(parent: list[int], x: int) -> None:
+    """Root the in-tree ``parent`` (roots are their own parents) at x by reversing x's path to
+    the root.  Ends on any list: past a repeat it retraces its reversed steps back to x."""
+    prev = x
+    while parent[x] != x:
+        parent[x], prev, x = prev, x, parent[x]
+    parent[x] = prev
+
+
+def _check_kept(split: _Split | None, parent: list[int], p: int, c: int) -> None:
+    """Raise SolverInvariantError unless ``split`` at (p, c) orients the tree as ``parent``,
+    which is rooted at p."""
+    if split is None or split[2][:c] + [p] + split[2][c + 1:] != parent:
+        raise SolverInvariantError("the kept orientation does not span the tree")
+
+
 def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
     """Search for a spanning tree of g with the exact degree vector seq.
 
     Decodes the canonical word into one list adjacency of the tree and
     exchanges away missing edges, smallest first.  Each exchange edits that
-    adjacency at its four endpoints, and the ascending list of missing
-    edges loses the one or two tree edges the exchange drops, so an
-    exchange costs O(n) and the LabelledTree is built once, at the end or
-    at a stall.  Success is guaranteed whenever the graph meets the
-    degree-sum threshold for r = max degree of seq; otherwise the loop
-    still runs to exhaustion and reports the stall witness.
+    adjacency at its four endpoints and the kept orientation along two tree
+    paths, and the ascending list of missing edges loses the one or two
+    tree edges the exchange drops, so no exchange searches the whole tree
+    and the LabelledTree is built once, at the end or at a stall.  Success
+    is guaranteed whenever the graph meets the degree-sum threshold for
+    r = max degree of seq; otherwise the loop still runs to exhaustion and
+    reports the stall witness.
     """
     if g.n != seq.n:
         raise ValueError(f"graph order {g.n} != sequence length {seq.n}")
@@ -560,18 +584,36 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
     missing.sort()
     steps: list[ExchangeStep] = []
     degrees = seq.degrees
-    while missing:
+    if missing:
         u, v = missing[0]
         split = _split(adj, u, v)
         if split is None:
             raise SolverInvariantError(f"vertices unreachable from both ends of {missing[0]}")
-        side_u, side_v, parent = split
+        parent, stamp = split[2], [0] * g.n
+        parent[v] = u
+    while missing:
+        u, v = missing[0]
+        p, c = (u, v) if parent[v] == u else (v, u)
+        _reroot(parent, p)
+        # checked after the reroot, so that the walk below ends on a corrupt orientation too
+        if parent[c] != p or parent[p] != p:
+            raise SolverInvariantError(f"missing edge {missing[0]} is not a parent-child pair")
+        # c's subtree is c's side; p's side is every vertex left unstamped
+        tag = len(steps) + 1
+        stamp[c] = tag
+        below = [c]
+        for a in below:
+            for b in adj[a]:
+                if parent[b] == a:
+                    stamp[b] = tag
+                    below.append(b)
         # each root is on its own side, so it is a bridge iff the other root sees it
         if g.are_adjacent(v, u) or g.are_adjacent(u, v):
             raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
-        x = (_exchange(g, "u", u, v, side_u, parent, adj)
-             or _exchange(g, "v", v, u, side_v, parent, adj))
+        x = (_exchange(g, "u", u, v, stamp, tag, u == c, parent, adj)
+             or _exchange(g, "v", v, u, stamp, tag, v == c, parent, adj))
         if x is None:
+            _check_kept(split := _split(adj, u, v), parent, p, c)
             f = _forest(u, v, split)
             witness = build_witness(g, _tree_of(adj), f, compute_cut_sets(g, f), r)
             return SolveResult(tree=None, witness=witness, steps=tuple(steps))
@@ -582,11 +624,21 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
         for z in (*x.drop_foreign, *x.drop_tree):
             if len(adj[z]) != degrees[z]:
                 raise SolverInvariantError(f"exchange {x} changed the degree vector at {z}")
+        # y's subtree hangs from the near end; c's side now meets p's at w
+        w, y = x.drop_tree
+        if x.add_1[0] == p:
+            parent[y], parent[c] = p, w
+        else:
+            parent[y] = parent[c] = c
+            _reroot(parent, w)
+            parent[w] = p
         del missing[0]
-        drop_tree = normalized_edge(*x.drop_tree)
+        drop_tree = normalized_edge(w, y)
         if drop_tree in missing:
             missing.remove(drop_tree)
         steps.append(ExchangeStep(exchange=x, phi_after=len(missing)))
+    if steps:
+        _check_kept(_split(adj, p, adj[p][0]), parent, p, adj[p][0])
     return SolveResult(tree=_tree_of(adj), witness=None, steps=tuple(steps))
 
 

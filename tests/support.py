@@ -14,9 +14,21 @@ from degspan import (
     LabelledGraph,
     LabelledTree,
     degree_sum_threshold,
+    realize_tree,
     validate_degree_sequence,
 )
-from degspan.solver import CutAnalysis, Exchange, RootedForest, SolverInvariantError
+from degspan.solver import (
+    CutAnalysis,
+    Exchange,
+    ExchangeStep,
+    RootedForest,
+    SolveResult,
+    SolverInvariantError,
+    apply_exchange,
+    build_witness,
+    foreign_edges,
+    orient_forest,
+)
 from degspan.tree import tree_defect
 
 
@@ -127,6 +139,27 @@ def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
         v_nbrs_same=len(v_same),
         candidate=candidate,
     )
+
+
+def reference_find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
+    """Reference exchange loop that searches the whole tree at every exchange.
+
+    Starts from ``realize_tree``, the tree the solver decodes, and for the
+    smallest missing edge orients the tree afresh (``orient_forest``, one
+    ``_split``), takes the reference rule's candidate and applies it, until
+    no edge is missing or the rule stalls.
+    """
+    r = max(2, seq.max_degree)
+    t = realize_tree(seq)
+    steps: list[ExchangeStep] = []
+    while missing := foreign_edges(g, t):
+        f = orient_forest(t, *missing[0])
+        c = compute_cut_sets(g, f)
+        if c.candidate is None:
+            return SolveResult(tree=None, witness=build_witness(g, t, f, c, r), steps=tuple(steps))
+        t = apply_exchange(t, c.candidate)
+        steps.append(ExchangeStep(exchange=c.candidate, phi_after=len(foreign_edges(g, t))))
+    return SolveResult(tree=t, witness=None, steps=tuple(steps))
 
 
 def all_degree_sequences(n: int, cap: int) -> Iterator[tuple[int, ...]]:

@@ -49,6 +49,7 @@ from support import (
     low_degree_sequence,
     matchings,
     path_graph,
+    reference_find_spanning_tree,
 )
 from support import compute_cut_sets as reference_cut_sets  # the comprehension-based rule
 
@@ -275,6 +276,27 @@ class TestFindSpanningTree:
         with pytest.raises(SolverInvariantError, match="unreachable"):
             find_spanning_tree(cycle_graph(5), validate_degree_sequence([2, 2, 2, 1, 1]))
 
+    @pytest.mark.parametrize("degrees, message", [
+        # found after one exchange: the whole-tree check before the tree is returned
+        ([2, 2, 2, 1, 1], "kept orientation does not span the tree"),
+        # stalls after one exchange: the check of the split the witness is built on
+        ([1, 1, 1, 2, 3], "kept orientation does not span the tree"),
+        # the second exchange's missing edge hangs elsewhere in the drifted orientation
+        ([2, 2, 1, 2, 1], r"missing edge \(1, 3\) is not a parent-child pair"),
+    ])
+    def test_drifted_orientation_raises_invariant_error(self, monkeypatch, degrees, message):
+        # Naming the dropped tree edge child first passes every check of _rewire,
+        # but the loop then re-hangs the parent w where it should re-hang y.
+        exchange = degspan.solver._exchange
+
+        def tampered(*args):
+            x = exchange(*args)
+            return x and x._replace(drop_tree=x.drop_tree[::-1])
+
+        monkeypatch.setattr(degspan.solver, "_exchange", tampered)
+        with pytest.raises(SolverInvariantError, match=message):
+            find_spanning_tree(cycle_graph(5), validate_degree_sequence(degrees))
+
     def test_stall_does_not_orient_again(self, monkeypatch):
         g, seq = build_extremal(1, 3)
         expected = find_spanning_tree(g, seq).witness
@@ -453,21 +475,27 @@ def _walks(g, t, u, v):
     """``_exchange`` on both sides of tree edge (u, v), called as the loop and compute_cut_sets do.
 
     The loop passes its list adjacency, which exchanges leave unsorted (here
-    reversed), and ``_split``'s parents, in which each root is its own
-    parent; compute_cut_sets passes child lists and a parent tuple with None
-    at the roots.
+    reversed), stamps on one side and parents in which each root is its own
+    parent (the loop's kept parents hang the child end from the parent end,
+    which the walk reads only when (u, v) is a graph edge);
+    compute_cut_sets passes the component labels, child lists and a parent
+    tuple with None at the roots.
     """
     f = orient_forest(t, u, v)
     adj = [a[::-1] for a in map(list, t.adjacency)]
-    side_u, side_v, loop_parent = degspan.solver._split(adj, u, v)
+    _, side_v, loop_parent = degspan.solver._split(adj, u, v)
+    stamp = [0] * t.n
+    for x in side_v:
+        stamp[x] = 5
     children = [[] for _ in range(t.n)]
     for x, p in enumerate(f.parent):
         if p is not None:
             children[p].append(x)
     walks = {}
-    for side, near, far, mine in (("u", u, v, side_u), ("v", v, u, side_v)):
-        in_loop = degspan.solver._exchange(g, side, near, far, mine, loop_parent, adj)
-        in_cut_sets = degspan.solver._exchange(g, side, near, far, mine, f.parent, children)
+    for side, near, far, inside in (("u", u, v, False), ("v", v, u, True)):
+        in_loop = degspan.solver._exchange(g, side, near, far, stamp, 5, inside, loop_parent, adj)
+        in_cut_sets = degspan.solver._exchange(g, side, near, far, f.component, 1, inside,
+                                               f.parent, children)
         assert in_loop == in_cut_sets
         walks[side] = in_loop
     return f, walks
@@ -497,6 +525,83 @@ class TestExchangeWalk:
                 self._check(g, t, u, v)
             states += 1
         assert states >= 300
+
+
+def _checked_exchange(monkeypatch):
+    """Wrap ``_exchange`` to check what it is handed against a fresh ``_split``; returns its calls.
+
+    The side and its parents, roots aside, must be those of a whole-tree
+    search from both ends of the missing edge, also for compute_cut_sets'
+    calls, whose child lists a search walks as it walks the loop's adjacency.
+    """
+    exchange, split = degspan.solver._exchange, degspan.solver._split
+    calls = []
+
+    def checked(g, side, near, far, label, tag, inside, parent, adj):
+        fresh_side, _, fresh_parent = split(adj, near, far)
+        assert sorted(x for x, s in enumerate(label) if (s == tag) == inside) == sorted(fresh_side)
+        assert all(parent[x] == fresh_parent[x] for x in fresh_side if x != near)
+        calls.append(side)
+        return exchange(g, side, near, far, label, tag, inside, parent, adj)
+
+    monkeypatch.setattr(degspan.solver, "_exchange", checked)
+    return calls
+
+
+class TestKeptOrientation:
+    """The loop's kept orientation against a whole-tree search at every exchange."""
+
+    @given(graph_with_sequence(min_n=2, max_n=12))
+    @settings(max_examples=200, deadline=None)
+    def test_loop_matches_the_reference_loop(self, case):
+        g, seq = case
+        assert find_spanning_tree(g, seq) == reference_find_spanning_tree(g, seq)
+
+    def test_loop_matches_the_reference_loop_on_the_pinned_instances(self):
+        from test_solver_pinned import _dense_instances, _instances
+
+        stalls = 0
+        for g, seq in itertools.chain(_instances(), _dense_instances()):
+            res = find_spanning_tree(g, seq)
+            assert res == reference_find_spanning_tree(g, seq)
+            stalls += not res.ok
+        assert stalls == 88 + 16
+
+    @given(graph_with_sequence(min_n=2, max_n=12))
+    @settings(max_examples=150, deadline=None)
+    def test_exchange_is_handed_a_fresh_split_on_random_instances(self, case):
+        g, seq = case
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _checked_exchange(mp)
+            res = find_spanning_tree(g, seq)
+        assert len(calls) >= len(res.steps)
+
+    def test_exchange_is_handed_a_fresh_split_on_the_dense_instances(self, monkeypatch):
+        from test_solver_pinned import _dense_instances
+
+        calls = _checked_exchange(monkeypatch)
+        exchanges = sum(len(find_spanning_tree(g, seq).steps) for g, seq in _dense_instances())
+        assert exchanges == 1294 and len(calls) >= exchanges
+
+    def test_found_solve_searches_the_whole_tree_at_most_twice(self, monkeypatch):
+        from test_solver_pinned import _dense_instances
+
+        split = degspan.solver._split
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:])
+            return split(*args)
+
+        monkeypatch.setattr(degspan.solver, "_split", counted)
+        found = []
+        for g, seq in _dense_instances():
+            calls.clear()
+            res = find_spanning_tree(g, seq)
+            if res.ok:
+                found.append((len(res.steps), len(calls)))
+        assert len(found) == 44 and max(found)[0] >= 50
+        assert all(searches <= 2 for _, searches in found)
 
 
 class TestGuarantee:
