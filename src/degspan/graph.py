@@ -113,8 +113,7 @@ class LabelledGraph(NamedTuple):
 
     def are_adjacent(self, u: int, v: int) -> bool:
         """True iff {u, v} is an edge; always False for u == v."""
-        # One unpacking reads both fields: the oracle calls this for every
-        # edge of every word it decodes, and a named field read is a call.
+        # One unpacking reads both fields; a named field read is a call.
         n, adjacency = self
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"vertex {v if 0 <= u < n else u} out of range for n={n}")

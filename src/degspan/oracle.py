@@ -4,9 +4,12 @@ Labelled trees with degree vector d correspond one-to-one with the
 distinct rearrangements of the code word holding vertex i exactly
 d_i - 1 times, so walking those rearrangements in lexicographic order
 visits every such tree exactly once.  Containment in a host graph is
-then a per-edge check, aborted at the first missing edge.
+then a per-edge check as the word decodes, aborted at the first missing
+edge.  Each edge is tested by bisection in the graph's own ascending
+adjacency rows.
 """
 
+from bisect import bisect_left
 from collections.abc import Iterator
 from math import factorial, fsum, lgamma, log, perm, prod
 
@@ -85,10 +88,18 @@ def _contained_trees(g: LabelledGraph, seq: DegreeSequence, budget: int) -> Iter
     total = None if log_total > log(max(budget, 1)) + 1 else count_trees(seq)
     if total is None or total > budget:
         raise OracleBudgetError(total, budget, log_total / log(10))
+    adjacency = g.adjacency
+
+    def keep(u: int, v: int) -> bool:
+        # The decoder names only vertices in [0, n), so no bounds check.
+        row = adjacency[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
+
     word = list(canonical_word(seq))
     more = True
     while more:
-        edges = prufer_edges(word, n, g.are_adjacent)
+        edges = prufer_edges(word, n, keep)
         if edges is not None:
             yield edges
         more = _next_permutation(word)

@@ -6,7 +6,6 @@ tree deterministically: vertex i appears degree(i) - 1 times in the code
 word, and decoding follows the smallest-leaf-first rule.
 """
 
-import heapq
 import random
 from collections.abc import Callable, Iterable, Sequence
 from typing import Any, NamedTuple
@@ -125,29 +124,31 @@ def prufer_edges(
     """Edges of the tree coded by ``word``, or None at the first edge ``keep`` rejects.
 
     Decoding joins the smallest current leaf to each word entry in turn
-    and finally joins the last two leaves; vertex v ends with degree
-    1 + multiplicity of v in the word.  Entries must lie in [0, n) and
-    the word must have length n - 2.
+    and finally joins the last leaf to n - 1; vertex v ends with degree
+    1 + multiplicity of v in the word.  ``keep`` sees each edge in that
+    decoding order, before the next is formed.  Entries must lie in
+    [0, n) and the word must have length n - 2.
+
+    Linear time, with no heap: ``nxt`` only moves up, because a vertex
+    that becomes a leaf below it is used at once as the next leaf.
     """
     degree = [1] * n
     for w in word:
         degree[w] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    leaf = nxt = degree.index(1)
     edges: list[Edge] = []
     for w in word:
-        leaf = heapq.heappop(leaves)
         if not keep(leaf, w):
             return None
         edges.append((leaf, w))
         degree[w] -= 1
-        if degree[w] == 1:
-            heapq.heappush(leaves, w)
-    a = heapq.heappop(leaves)
-    b = heapq.heappop(leaves)
-    if not keep(a, b):
+        if degree[w] == 1 and w < nxt:
+            leaf = w
+        else:
+            leaf = nxt = degree.index(1, nxt + 1)
+    if not keep(leaf, n - 1):
         return None
-    edges.append((a, b))
+    edges.append((leaf, n - 1))
     return edges
 
 
@@ -156,15 +157,27 @@ def _accept_all(u: int, v: int) -> bool:
 
 
 def prufer_decode(word: Sequence[int], n: int) -> LabelledTree:
-    """Unique labelled tree on n vertices whose code is ``word``."""
+    """Unique labelled tree on n vertices whose code is ``word``.
+
+    ``n`` and each entry follow ``validate_degree_sequence``'s rule: x is
+    read as ``int(x)`` when that equals x (so 1.0 reads as 1), and is
+    otherwise refused with a ValueError naming it.
+    """
+    m = _int_or_none(n)
+    if m is None or m != n:
+        raise ValueError(f"n = {n!r} is not an integer")
+    n = m
     if n < 2:
         raise ValueError("need n >= 2")
     if len(word) != n - 2:
         raise ValueError(f"word length {len(word)} != n - 2 = {n - 2}")
-    for w in word:
+    ws = word if all(type(w) is int for w in word) else tuple(map(_int_or_none, word))
+    for i, (x, w) in enumerate(zip(word, ws)):
+        if w is None or x != w:
+            raise ValueError(f"word entry {x!r} at position {i} is not an integer")
         if not (0 <= w < n):
             raise ValueError(f"word entry {w} out of range [0, {n})")
-    return LabelledTree.from_edges(n, prufer_edges(word, n, _accept_all))
+    return LabelledTree.from_edges(n, prufer_edges(ws, n, _accept_all))
 
 
 def realize_tree(seq: DegreeSequence) -> LabelledTree:

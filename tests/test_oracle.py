@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import degspan.oracle
 from degspan import (
     LabelledGraph,
+    LabelledTree,
     OracleBudgetError,
     build_extremal,
     canonical_word,
@@ -19,17 +20,27 @@ from degspan import (
     random_degree_sequence,
     validate_degree_sequence,
 )
-from support import all_degree_sequences, all_labelled_graphs, complete_graph, graph_with_sequence
+from support import (
+    all_degree_sequences,
+    all_labelled_graphs,
+    complete_graph,
+    graph_with_sequence,
+    reference_prufer_edges,
+)
 
 
 def degree_trees(seq):
     """Every tree with this degree vector, in lexicographic word order.
 
     Plain enumeration, independent of the oracle's walk: every distinct
-    rearrangement of the canonical word, sorted and decoded.
+    rearrangement of the canonical word, sorted and decoded by the
+    reference heap decoder, not the oracle's.
     """
     words = sorted(set(itertools.permutations(canonical_word(seq))))
-    return [prufer_decode(word, seq.n) for word in words]
+    return [
+        LabelledTree.from_edges(seq.n, reference_prufer_edges(word, seq.n, lambda u, v: True))
+        for word in words
+    ]
 
 
 class TestCountTrees:
@@ -209,3 +220,25 @@ class TestOracleReference:
             g = LabelledGraph.from_edges(n, pairs)
             for _ in range(3):
                 self.agree(g, random_degree_sequence(n, rng.randint(2, n - 1), rng))
+
+
+class TestOracleHotPath:
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_walk_makes_no_are_adjacent_call(self, n, monkeypatch):
+        rng = random.Random(100 + n)
+        cases = []
+        for _ in range(8):
+            p = rng.uniform(0.3, 0.9)
+            pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            g = LabelledGraph.from_edges(n, pairs)
+            seq = random_degree_sequence(n, rng.randint(2, n - 1), rng)
+            cases.append((g, seq, reference_contained_trees(g, seq)))
+
+        def refuse(graph, u, v):
+            raise RuntimeError("the oracle's walk called LabelledGraph.are_adjacent")
+
+        monkeypatch.setattr(LabelledGraph, "are_adjacent", refuse)
+        assert any(contained for _, _, contained in cases)
+        for g, seq, contained in cases:
+            assert oracle_count(g, seq) == len(contained)
+            assert oracle_find(g, seq) == (contained[0] if contained else None)

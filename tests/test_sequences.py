@@ -1,9 +1,11 @@
 import itertools
+import json
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degspan import (
     LabelledTree,
@@ -16,8 +18,9 @@ from degspan import (
     validate_degree_sequence,
 )
 from degspan.graph import MAX_N
+from degspan.sequences import _accept_all, prufer_edges
 from degspan.tree import tree_defect
-from support import degree_sequences, prufer_encode, prufer_words
+from support import degree_sequences, prufer_encode, prufer_words, reference_prufer_edges
 
 
 class TestValidate:
@@ -202,6 +205,66 @@ class TestDecode:
         t = prufer_decode(word, 6)
         for v in range(6):
             assert t.degree_vector()[v] == 1 + word.count(v)
+
+    def test_integral_entries_and_order_read_as_int(self):
+        t = prufer_decode([True], 3)
+        assert t.edges == ((0, 1), (1, 2))
+        assert json.dumps(t.edges) == "[[0, 1], [1, 2]]"
+        assert prufer_decode([1.0, 1.0], 4.0).edges == ((0, 1), (1, 2), (1, 3))
+        assert prufer_decode([], 2.0).edges == ((0, 1),)
+
+    @pytest.mark.parametrize("entry", [1.5, "1", None, float("nan"), float("inf")])
+    def test_non_integral_entry_names_its_position(self, entry):
+        with pytest.raises(ValueError, match=r"word entry .* at position 0 is not an integer"):
+            prufer_decode([entry], 3)
+
+    def test_first_non_integral_entry_is_reported(self):
+        with pytest.raises(ValueError, match=r"^word entry 2\.5 at position 2 is not an integer$"):
+            prufer_decode([0, 0, 2.5, "x"], 6)
+
+    @pytest.mark.parametrize("n", [2.5, "3", None])
+    def test_non_integral_order(self, n):
+        with pytest.raises(ValueError, match=r"^n = .* is not an integer$"):
+            prufer_decode([0], n)
+
+
+def _rejecting_at(stop):
+    """A ``keep`` that records its calls and rejects the call numbered ``stop``."""
+    calls = []
+
+    def keep(u, v):
+        calls.append((u, v))
+        return len(calls) <= stop
+
+    return calls, keep
+
+
+class TestDecoderReference:
+    """``prufer_edges`` against the heap decoder in ``support``."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_every_word(self, n):
+        for word in itertools.product(range(n), repeat=n - 2):
+            got = prufer_edges(word, n, _accept_all)
+            assert got == reference_prufer_edges(word, n, _accept_all), word
+
+    @settings(deadline=None)
+    @given(prufer_words(max_n=300))
+    def test_drawn_words(self, case):
+        n, word = case
+        assert prufer_edges(word, n, _accept_all) == reference_prufer_edges(word, n, _accept_all)
+
+    @settings(deadline=None)
+    @given(prufer_words(max_n=300), st.data())
+    def test_rejection_at_a_drawn_call(self, case, data):
+        n, word = case
+        stop = data.draw(st.integers(0, n - 2), label="stop")
+        calls, keep = _rejecting_at(stop)
+        ref_calls, ref_keep = _rejecting_at(stop)
+        assert prufer_edges(word, n, keep) is None
+        assert reference_prufer_edges(word, n, ref_keep) is None
+        assert calls == ref_calls
+        assert len(calls) == stop + 1
 
 
 class TestEncode:
