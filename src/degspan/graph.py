@@ -5,7 +5,6 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from itertools import compress
 from math import ceil
-from operator import lt
 from typing import Any, NamedTuple
 
 Edge = tuple[int, int]
@@ -52,15 +51,8 @@ def _row_has(row: tuple[int, ...], v: int) -> bool:
 
 
 def _freeze(adjacency: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """Sorted, duplicate-free neighbour tuples from validated, symmetric lists.
-
-    A list that is already strictly ascending, as every list built from a
-    sorted edge list is, costs one O(deg) check and no sort.
-    """
-    return tuple(
-        tuple(nbrs) if all(map(lt, nbrs, nbrs[1:])) else tuple(sorted(set(nbrs)))
-        for nbrs in adjacency
-    )
+    """Sorted, duplicate-free neighbour tuples from validated, symmetric lists."""
+    return tuple(tuple(sorted(set(nbrs))) for nbrs in adjacency)
 
 
 def _freeze_rows(rows: list[bytearray]) -> tuple[tuple[int, ...], ...]:
@@ -134,41 +126,22 @@ def parse_graph(text: str) -> LabelledGraph:
     starting with '#' and blank lines are ignored.  Duplicate edge lines
     collapse to a single edge; self-loops are an error.
 
-    A text in ``serialize_graph``'s exact layout of a dense graph is read
-    in bulk by ``_read_serialized``.  Every other text, and every error,
-    goes through the line loop below, so the messages and line numbers are
-    the loop's alone.
+    There are two paths.  A text in ``serialize_graph``'s exact layout of
+    a dense graph is read in bulk by ``_read_serialized``.  Every other
+    text, and every error, goes through the checked line loop below, so
+    the messages and line numbers are the loop's alone.
 
     Each line is validated once and its edge goes straight into the
     neighbour lists.  Numbers are read by ``bounded_int``, so an oversized
     count or endpoint is rejected with its line number and without
     converting it or allocating for it.
-
-    Endpoint tokens repeat across lines, so ``seen`` maps each token that
-    has passed the full checks on an accepted edge line to its vertex.  A
-    line is taken as an edge without further checks only when it is
-    ASCII, splits into exactly two tokens, both are in ``seen`` and they
-    name different vertices; that is exactly what the full checks would
-    accept for it.  Every other line (the count, blanks, comments, a
-    token's first appearance, every error) takes the full checks, so the
-    accepted graphs and every error message and line number are those of
-    the checks alone.  ``seen`` holds only tokens that occur in the text.
     """
     g = _read_serialized(text)
     if g is not None:
         return g
     n: int | None = None
     adjacency: list[list[int]] = []
-    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if len(parts) == 2 and raw.isascii():
-            u = seen.get(parts[0])
-            v = seen.get(parts[1])
-            if u is not None and v is not None and u != v:
-                adjacency[u].append(v)
-                adjacency[v].append(u)
-                continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -180,6 +153,7 @@ def parse_graph(text: str) -> LabelledGraph:
                 raise GraphParseError(f"vertex count exceeds the limit {MAX_N}", lineno)
             adjacency = [[] for _ in range(n)]
             continue
+        parts = line.split()
         if len(parts) != 2:
             raise GraphParseError(f"expected 'u v', got {line!r}", lineno)
         a, b = parts
@@ -192,8 +166,6 @@ def parse_graph(text: str) -> LabelledGraph:
             raise GraphParseError(f"self-loop at vertex {u}", lineno)
         adjacency[u].append(v)
         adjacency[v].append(u)
-        seen[a] = u
-        seen[b] = v
     if n is None:
         raise GraphParseError("missing vertex count line", 1)
     return LabelledGraph(n=n, adjacency=_freeze(adjacency))

@@ -34,10 +34,11 @@ class LabelledTree(LabelledGraph):
 
 def tree_defect(t: LabelledTree) -> str | None:
     """Why t is not connected and acyclic on all n vertices, or None if it is."""
+    n = t.n
     m = sum(map(len, t.adjacency)) // 2
-    if m != t.n - 1:
-        return f"edge count {m} != n - 1 = {t.n - 1}"
-    parent = list(range(t.n))
+    if m != n - 1:
+        return f"edge count {m} != n - 1 = {n - 1}"
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -48,8 +49,12 @@ def tree_defect(t: LabelledTree) -> str | None:
     for u, nbrs in enumerate(t.adjacency):
         for v in nbrs:
             if u < v:
+                if v >= n:
+                    return f"not a tree: vertex {v} out of range for n={n}"
                 ru, rv = find(u), find(v)
                 if ru == rv:
                     return f"not a tree: cycle through edge ({u}, {v})"
                 parent[ru] = rv
+            elif v < 0:
+                return f"not a tree: vertex {v} out of range for n={n}"
     return None

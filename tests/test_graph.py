@@ -384,6 +384,12 @@ def test_near_canonical_texts_fall_back_to_the_line_loop(text, bulk):
     assert _parsed(parse_graph, text) == _parsed(reference_parse_graph, text)
 
 
+def sampled_host(n, seed):
+    """round(0.7 n(n-1)/2) edges drawn at random, the density of oracle-agree's graphs."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return LabelledGraph.from_edges(n, random.Random(seed).sample(pairs, round(0.7 * len(pairs))))
+
+
 @pytest.mark.parametrize("g", [
     complete_graph(1),
     complete_graph(2),
@@ -391,6 +397,13 @@ def test_near_canonical_texts_fall_back_to_the_line_loop(text, bulk):
     random_condition_graph(40, 3, seed=1),
     random_condition_graph(100, 4, seed=2),
     build_extremal(5, 3)[0],
+    # the benchmark's shapes: n = 120 hosts, oracle-agree's sampled graphs, extremal members
+    random_condition_graph(120, 3, seed=1),
+    random_condition_graph(120, 4, seed=2),
+    sampled_host(8, seed=1),
+    sampled_host(11, seed=2),
+    build_extremal(1, 3)[0],
+    build_extremal(2, 4)[0],
 ])
 def test_serialized_dense_graphs_take_the_bulk_path(g, monkeypatch):
     def no_line_loop(adjacency):

@@ -713,6 +713,15 @@ class TestWitness:
         forged = build_witness(g4, cyclic, f, compute_cut_sets(g4, f), r=3)
         assert not validate_witness(g4, forged)
 
+    @pytest.mark.parametrize("row, bad", [((1, 2, 3, 4, 99), 99), ((-1, 1, 2, 3, 4), -1)])
+    def test_witness_tree_naming_a_vertex_out_of_range_fails_validation(self, row, bad):
+        # n - 1 edges by count, so only the range check can reject the tree
+        g, seq = build_extremal(1, 3)
+        w = find_spanning_tree(g, seq).witness
+        tree = LabelledTree(6, (row, (0,), (0,), (0,), (0,), (0,)))
+        assert tree_defect(tree) == f"not a tree: vertex {bad} out of range for n=6"
+        assert not validate_witness(g, w._replace(tree=tree))
+
     def test_witness_of_another_split_fails_validation(self):
         g, seq = build_extremal(2, 3)
         w = find_spanning_tree(g, seq).witness
