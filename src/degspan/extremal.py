@@ -47,7 +47,7 @@ def build_extremal(k: int, r: int) -> tuple[LabelledGraph, DegreeSequence]:
         + [ids[:v] + ids[v + 1 :] for v in range(2 * k, n)]
     )
     degrees = [r] * (2 * k) + [1] * (n - 2 * k)
-    return LabelledGraph(n, tuple(adjacency)), validate_degree_sequence(degrees)
+    return LabelledGraph(tuple(adjacency)), validate_degree_sequence(degrees)
 
 
 def extremal_worst_sum(k: int, r: int) -> int:

@@ -65,12 +65,15 @@ class LabelledGraph(NamedTuple):
     """Immutable simple undirected graph on vertices 0..n-1.
 
     ``adjacency`` holds one ascending neighbor tuple per vertex and is the
-    only stored form: adjacency tests bisect, ``edges`` is derived from it,
-    and every iteration order is deterministic.
+    only stored form: ``n`` is its row count, ``edges`` is derived from it,
+    adjacency tests bisect, and every iteration order is deterministic.
     """
 
-    n: int
     adjacency: tuple[tuple[int, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.adjacency)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "LabelledGraph":
@@ -88,7 +91,7 @@ class LabelledGraph(NamedTuple):
                 raise ValueError(f"self-loop at vertex {u}")
             adjacency[u].append(v)
             adjacency[v].append(u)
-        return cls(n=n, adjacency=_freeze(adjacency))
+        return cls(_freeze(adjacency))
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -105,8 +108,9 @@ class LabelledGraph(NamedTuple):
 
     def are_adjacent(self, u: int, v: int) -> bool:
         """True iff {u, v} is an edge; always False for u == v."""
-        # One unpacking reads both fields; a named field read is a call.
-        n, adjacency = self
+        # Unpacking reads the one field; a named field read is a call.
+        (adjacency,) = self
+        n = len(adjacency)
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"vertex {v if 0 <= u < n else u} out of range for n={n}")
         nbrs = adjacency[u]
@@ -168,7 +172,7 @@ def parse_graph(text: str) -> LabelledGraph:
         adjacency[v].append(u)
     if n is None:
         raise GraphParseError("missing vertex count line", 1)
-    return LabelledGraph(n=n, adjacency=_freeze(adjacency))
+    return LabelledGraph(_freeze(adjacency))
 
 
 _BLOCK = 1 << 13
@@ -228,7 +232,7 @@ def _read_serialized(text: str) -> LabelledGraph | None:
         pos = cut
     if any(row[v] for v, row in enumerate(rows)):
         return None
-    return LabelledGraph(n=n, adjacency=_freeze_rows(rows))
+    return LabelledGraph(_freeze_rows(rows))
 
 
 def bounded_int(digits: str, limit: int) -> int | None:
@@ -276,12 +280,13 @@ def min_nonadjacent_degree_sum(g: LabelledGraph) -> tuple[Edge, int] | None:
     O((n + m) log n) at worst.  Sums are exact integers.
     """
     adjacency = g.adjacency
+    n = g.n
     degree = [len(nbrs) for nbrs in adjacency]
-    buckets: list[list[int]] = [[] for _ in range(g.n)]
+    buckets: list[list[int]] = [[] for _ in range(n)]
     for v, d in enumerate(degree):
         buckets[d].append(v)
     order = [v for bucket in buckets for v in bucket]
-    best = 2 * g.n  # above every degree sum
+    best = 2 * n  # above every degree sum
     for u in order:
         du = degree[u]
         if 2 * du >= best:
@@ -291,11 +296,11 @@ def min_nonadjacent_degree_sum(g: LabelledGraph) -> tuple[Edge, int] | None:
             if w != u and w not in nbrs:
                 best = min(best, du + degree[w])
                 break
-    if best == 2 * g.n:
+    if best == 2 * n:
         return None
-    for u in range(g.n):
+    for u in range(n):
         target = best - degree[u]
-        if not 0 <= target < g.n:
+        if not 0 <= target < n:
             continue
         bucket, nbrs = buckets[target], adjacency[u]
         j = 0
@@ -340,4 +345,4 @@ def random_condition_graph(n: int, r: int, seed: int) -> LabelledGraph:
                 row[v] = rows[v][u] = 1
                 degree[u] += 1
                 degree[v] += 1
-    return LabelledGraph(n=n, adjacency=_freeze_rows(rows))
+    return LabelledGraph(_freeze_rows(rows))

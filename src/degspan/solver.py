@@ -407,7 +407,7 @@ def _rewire(adj: list[list[int]], x: Exchange) -> None:
 
 def _tree_of(adj: list[list[int]]) -> LabelledTree:
     """Freeze the solver's tree adjacency, which its invariant checks keep simple."""
-    return LabelledTree(n=len(adj), adjacency=tuple(tuple(sorted(a)) for a in adj))
+    return LabelledTree(tuple(tuple(sorted(a)) for a in adj))
 
 
 def apply_exchange(t: LabelledTree, x: Exchange) -> LabelledTree:

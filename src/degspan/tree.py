@@ -1,5 +1,6 @@
 """Labelled trees as graphs that keep every edge they are given, plus the tree-ness check."""
 
+from bisect import bisect_left
 from collections.abc import Iterable
 
 from .graph import LabelledGraph
@@ -12,10 +13,10 @@ class LabelledTree(LabelledGraph):
 
     It shares the graph's stored form and queries, and its empty
     ``__slots__`` keeps it a tuple without an instance ``__dict__``, so its
-    fields stay read-only.  The container itself only enforces simple-graph
-    sanity (range, no loops, no repeated edges), not acyclicity or
-    connectivity, so callers can hold and inspect claimed trees that fail
-    verification.
+    fields stay read-only.  Only ``from_edges`` enforces simple-graph
+    sanity (range, no loops, no repeated edges); the constructor takes any
+    rows and ``tree_defect`` judges any rows, so callers can hold and
+    inspect claimed trees that fail verification.
     """
 
     __slots__ = ()
@@ -33,11 +34,21 @@ class LabelledTree(LabelledGraph):
 
 
 def tree_defect(t: LabelledTree) -> str | None:
-    """Why t is not connected and acyclic on all n vertices, or None if it is."""
-    n = t.n
-    m = sum(map(len, t.adjacency)) // 2
-    if m != n - 1:
-        return f"edge count {m} != n - 1 = {n - 1}"
+    """Why t is not connected and acyclic on all n vertices, or None if it is.
+
+    Any rows are judged, not only those ``from_edges`` builds.  They must
+    hold 2(n - 1) entries in all, each row strictly ascending, and each
+    entry below its row's vertex must be mirrored in that vertex's row.
+    With the cycle check on the other entries, where a self-loop is a
+    cycle, that makes every row mirror every other: the rows are one
+    simple graph.
+    """
+    n, adjacency = t.n, t.adjacency
+    entries = sum(map(len, adjacency))
+    if entries % 2:
+        return f"not a tree: the rows hold {entries} entries, an odd number"
+    if entries != 2 * (n - 1):
+        return f"edge count {entries // 2} != n - 1 = {n - 1}"
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -46,9 +57,10 @@ def tree_defect(t: LabelledTree) -> str | None:
             x = parent[x]
         return x
 
-    for u, nbrs in enumerate(t.adjacency):
+    for u, nbrs in enumerate(adjacency):
+        last = -1
         for v in nbrs:
-            if u < v:
+            if u <= v:
                 if v >= n:
                     return f"not a tree: vertex {v} out of range for n={n}"
                 ru, rv = find(u), find(v)
@@ -57,4 +69,12 @@ def tree_defect(t: LabelledTree) -> str | None:
                 parent[ru] = rv
             elif v < 0:
                 return f"not a tree: vertex {v} out of range for n={n}"
+            else:
+                row = adjacency[v]
+                i = bisect_left(row, u)
+                if i == len(row) or row[i] != u:
+                    return f"not a tree: vertex {u} lists {v}, but vertex {v} does not list {u}"
+            if v <= last:
+                return f"not a tree: row of vertex {u} is not strictly ascending at {v}"
+            last = v
     return None

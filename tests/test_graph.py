@@ -247,7 +247,7 @@ def reference_parse_graph(text):
         adjacency[v].append(u)
     if n is None:
         raise GraphParseError("missing vertex count line", 1)
-    return LabelledGraph(n=n, adjacency=tuple(tuple(sorted(set(a))) for a in adjacency))
+    return LabelledGraph(tuple(tuple(sorted(set(a))) for a in adjacency))
 
 
 def _capped(digits, width):

@@ -718,9 +718,27 @@ class TestWitness:
         # n - 1 edges by count, so only the range check can reject the tree
         g, seq = build_extremal(1, 3)
         w = find_spanning_tree(g, seq).witness
-        tree = LabelledTree(6, (row, (0,), (0,), (0,), (0,), (0,)))
+        tree = LabelledTree((row, (0,), (0,), (0,), (0,), (0,)))
         assert tree_defect(tree) == f"not a tree: vertex {bad} out of range for n=6"
         assert not validate_witness(g, w._replace(tree=tree))
+
+    def test_witness_tree_with_a_moved_row_entry_fails_validation(self):
+        # 1 moves from row 4 to row 2: still 2(n - 1) entries, and the
+        # entries above each row's vertex are still the witness tree's edges
+        g, seq = build_extremal(1, 3)
+        w = find_spanning_tree(g, seq).witness
+        assert w.tree.adjacency == ((1, 2, 3), (0, 4, 5), (0,), (0,), (1,), (1,))
+        tree = LabelledTree(((1, 2, 3), (0, 4, 5), (0, 1), (0,), (), (1,)))
+        assert tree_defect(tree) == "not a tree: vertex 2 lists 1, but vertex 1 does not list 2"
+        assert not validate_witness(g, w._replace(tree=tree))
+
+    def test_witness_tree_with_an_extra_row_fails_validation(self):
+        g, seq = build_extremal(1, 3)
+        w = find_spanning_tree(g, seq).witness
+        for extra in ((), (0,)):
+            tree = LabelledTree(w.tree.adjacency + (extra,))
+            assert tree.n == g.n + 1
+            assert not validate_witness(g, w._replace(tree=tree))
 
     def test_witness_of_another_split_fails_validation(self):
         g, seq = build_extremal(2, 3)
@@ -809,6 +827,37 @@ class TestVerifyTree:
             "edge count 2 != n - 1 = 3"
         )
 
+    @pytest.mark.parametrize("rows", [
+        ((1,), (0, 2), (1,), ()),  # the extra row empty
+        ((1,), (0, 2), (1, 3), (2,)),  # an edge into the extra row
+        ((1,), (0, 2), (1,), (4,), (3,)),  # two extra rows holding an edge
+        ((1,), (0,)),  # one row fewer
+    ])
+    def test_row_count_is_the_tree_order(self, rows):
+        t = LabelledTree(rows)
+        assert t.n == len(rows)
+        out = verify_tree(path_graph(3), t, validate_degree_sequence([1, 2, 1]))
+        assert out.reason == f"order mismatch: tree {len(rows)}, graph 3"
+
+    def test_rows_that_do_not_mirror_each_other_are_rejected(self):
+        # the entries above each row's vertex are the path's edges, but
+        # vertex 2 lists 0 and vertex 0 does not list 2
+        t = LabelledTree(((1,), (2,), (0, 1, 3), (2,)))
+        assert t.edges == ((0, 1), (1, 2), (2, 3))
+        assert t.are_adjacent(2, 0) and not t.are_adjacent(0, 2)
+        out = verify_tree(path_graph(4), t, validate_degree_sequence([1, 1, 3, 1]))
+        assert out.reason == "not a tree: vertex 2 lists 0, but vertex 0 does not list 2"
+
+    @pytest.mark.parametrize("rows, reason", [
+        # 5 entries // 2 is n - 1 edges, and (0, 1), (1, 2) span the path
+        (((1,), (0, 2), (0, 1)), "not a tree: the rows hold 5 entries, an odd number"),
+        (((2, 1), (0,), (0,)), "not a tree: row of vertex 0 is not strictly ascending at 1"),
+        (((1, 2), (0, 0), ()), "not a tree: row of vertex 1 is not strictly ascending at 0"),
+        (((0, 1), (0, 2), (1,), (3,)), "not a tree: cycle through edge (0, 0)"),
+    ])
+    def test_rows_that_are_no_simple_graph_are_rejected(self, rows, reason):
+        assert tree_defect(LabelledTree(rows)) == reason
+
 
 class TestForeignEdges:
     def test_tree_edge_past_the_graph_order_raises_index_error(self):
@@ -822,7 +871,7 @@ class TestForeignEdges:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_are_adjacent_scan(self, g, h):
         # t holds any simple graph, as a claimed tree may, on an order up to two past g's
-        t = LabelledTree(h.n, h.adjacency)
+        t = LabelledTree(h.adjacency)
 
         def scan():
             return tuple((u, v) for u, nbrs in enumerate(t.adjacency) for v in nbrs
@@ -840,7 +889,7 @@ class TestForeignEdges:
 class TestTreeContainer:
     def test_is_a_graph_with_the_same_stored_form(self):
         assert issubclass(LabelledTree, LabelledGraph)
-        assert LabelledTree._fields == ("n", "adjacency")
+        assert LabelledGraph._fields == LabelledTree._fields == ("adjacency",)
         t = LabelledTree.from_edges(4, [(2, 0), (0, 1), (3, 1)])
         assert t.adjacency == ((1, 2), (0, 3), (0,), (1,))
         assert t.edges == ((0, 1), (0, 2), (1, 3))
@@ -906,7 +955,7 @@ RECORDS = (
 class TestRecordDeclarations:
     def test_annotations_are_evaluated(self):
         # String annotations would make NamedTuple compile a ForwardRef per field.
-        assert LabelledGraph.__annotations__["n"] is int
+        assert InfeasibilityWitness.__annotations__["u"] is int
         for record in RECORDS:
             if record is not LabelledTree:  # declares no fields of its own
                 assert tuple(record.__annotations__) == record._fields
