@@ -128,108 +128,104 @@ def parse_graph(text: str) -> LabelledGraph:
     following non-comment line is ``u v`` with 0 <= u, v < n and u != v.
     Every number is a run of ASCII digits 0-9, nothing else.  Whole lines
     starting with '#' and blank lines are ignored.  Duplicate edge lines
-    collapse to a single edge; self-loops are an error.
-
-    There are two paths.  A text in ``serialize_graph``'s exact layout of
-    a dense graph is read in bulk by ``_read_serialized``.  Every other
-    text, and every error, goes through the checked line loop below, so
-    the messages and line numbers are the loop's alone.
-
-    Each line is validated once and its edge goes straight into the
-    neighbour lists.  Numbers are read by ``bounded_int``, so an oversized
-    count or endpoint is rejected with its line number and without
-    converting it or allocating for it.
+    collapse to a single edge; self-loops are an error.  A dense graph's
+    text with a self-loop or an error is read twice, the second time line
+    by line, so every message and line number comes from the line checks.
     """
-    g = _read_serialized(text)
-    if g is not None:
-        return g
-    n: int | None = None
-    adjacency: list[list[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
-            if not (line.isascii() and line.isdigit()):
-                raise GraphParseError(f"expected vertex count, got {line!r}", lineno)
-            n = bounded_int(line, MAX_N)
-            if n is None:
-                raise GraphParseError(f"vertex count exceeds the limit {MAX_N}", lineno)
-            adjacency = [[] for _ in range(n)]
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphParseError(f"expected 'u v', got {line!r}", lineno)
-        a, b = parts
-        if not (line.isascii() and a.isdigit() and b.isdigit()):
-            raise GraphParseError(f"endpoint not in digits 0-9 in {line!r}", lineno)
-        u, v = bounded_int(a, n - 1), bounded_int(b, n - 1)
-        if u is None or v is None:
-            raise GraphParseError(f"vertex index out of range [0, {n}) in {line!r}", lineno)
-        if u == v:
-            raise GraphParseError(f"self-loop at vertex {u}", lineno)
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    if n is None:
-        raise GraphParseError("missing vertex count line", 1)
-    return LabelledGraph(_freeze(adjacency))
+    return _read_blocks(text, bulk=True) or _read_blocks(text, bulk=False)
 
 
 _BLOCK = 1 << 13
-"""About how many characters ``_read_serialized`` checks and splits at a time."""
+"""About how many characters ``_read_blocks`` reads at a time after the vertex count."""
 
 _ROW_BYTES_PER_CHAR = 4
-"""``_read_serialized`` allocates its n^2 row bytes only up to this many per input character."""
+"""Edges go into n^2 row bytes only up to this many per input character, else into lists."""
 
 
-def _read_serialized(text: str) -> LabelledGraph | None:
-    """The graph of a text in ``serialize_graph``'s exact layout, else None; never raises.
+def _read_blocks(text: str, bulk: bool) -> LabelledGraph | None:
+    """The graph of ``text``; raises GraphParseError naming the first bad line.
 
-    The layout is the count line, then one ``u v`` line per edge, every
-    line ended by a newline and every endpoint spelled ``str(i)`` for some
-    i < n.  The edge lines are read in blocks cut after a newline.  A
-    block of k lines is accepted when deleting its digits leaves exactly k
-    copies of space-newline and it splits into 2k tokens: then every line
-    is two runs of digits around one space.  Each token is looked up in
-    one dict of the canonical names, so a leading zero, an out-of-range
-    endpoint or any other spelling falls back to the line loop.  Edges set
-    bytes in one row per vertex, so duplicates collapse; a set diagonal
-    byte is a self-loop and falls back too.
+    Lines up to the vertex count are read one at a time, then blocks of
+    about ``_BLOCK`` characters cut after a newline; a longer line, or a
+    last line with no newline, ends its block.  CRLF becomes LF in a block
+    that holds a carriage return.  Rows are a ``bytearray`` of n bytes per
+    vertex when n^2 is at most ``_ROW_BYTES_PER_CHAR`` bytes per input
+    character, so only a dense graph's cost n^2; else they are lists.
 
-    The rows cost n^2 bytes, so they are allocated only when n^2 is at
-    most ``_ROW_BYTES_PER_CHAR`` bytes per character of the text.  Only
-    dense graphs take this path, and its memory stays within a constant
-    multiple of the input.  Blocks are kept small because their tokens
-    outweigh the rows of a graph with a few hundred vertices.
+    With ``bulk``, a block of byte rows in ``serialize_graph``'s layout is
+    set at once: deleting its digits leaves one space-newline per line, it
+    splits into two tokens per line, and each token is a key of one dict
+    of the names ``str(i)``, i < n.  Every other block goes line by line:
+    each line is checked once, and ``bounded_int`` rejects an oversized
+    number without converting it.  A self-loop set in bulk is a diagonal
+    byte, and a later error may follow one, so either returns None.
     """
-    end = text.find("\n")
-    if end < 0 or not text.isascii():
-        return None
-    head = text[:end]
-    n = bounded_int(head, MAX_N) if head.isdigit() else None
-    if n is None or n * n > _ROW_BYTES_PER_CHAR * len(text):
-        return None
-    vertex = {str(i): i for i in range(n)}.__getitem__
-    rows = [bytearray(n) for _ in range(n)]
-    pos = end + 1
+    n: int | None = None
+    rows: list[Any] = []
+    vertex = None  # the canonical names' lookup, set only for byte rows
+    lineno = pos = 0
     while pos < len(text):
-        cut = text.rfind("\n", pos, pos + _BLOCK) + 1
-        if not cut:
-            return None
+        end = pos + (1 if n is None else _BLOCK)
+        cut = text.rfind("\n", pos, end) + 1 or text.find("\n", end) + 1 or len(text)
         block = text[pos:cut]
-        lines = block.count("\n")
-        if block.encode().translate(None, b"0123456789") != b" \n" * lines:
-            return None
-        tokens = block.split()
-        if len(tokens) != 2 * lines:
-            return None
-        ends = map(vertex, tokens)
-        try:
-            for u, v in zip(ends, ends):
-                rows[u][v] = rows[v][u] = 1
-        except KeyError:  # a token that is not a canonical name
-            return None
         pos = cut
+        if not block.endswith("\n"):  # the last line; an added newline renumbers no line
+            block += "\n"
+        if "\r" in block:
+            block = block.replace("\r\n", "\n")
+        lines = block.count("\n")
+        if (bulk and vertex and block.isascii()
+                and block.encode().translate(None, b"0123456789") == b" \n" * lines
+                and len(tokens := block.split()) == 2 * lines):
+            ends = map(vertex, tokens)
+            try:
+                for u, v in zip(ends, ends):
+                    rows[u][v] = rows[v][u] = 1
+                lineno += lines
+                continue
+            except KeyError:  # a token that is not a canonical name
+                pass
+        try:
+            for lineno, raw in enumerate(block.splitlines(), start=lineno + 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if n is None:
+                    if not (line.isascii() and line.isdigit()):
+                        raise GraphParseError(f"expected vertex count, got {line!r}", lineno)
+                    n = bounded_int(line, MAX_N)
+                    if n is None:
+                        raise GraphParseError(f"vertex count exceeds the limit {MAX_N}", lineno)
+                    if n * n <= _ROW_BYTES_PER_CHAR * len(text):
+                        rows = [bytearray(n) for _ in range(n)]
+                        vertex = {str(i): i for i in range(n)}.__getitem__
+                    else:
+                        rows = [[] for _ in range(n)]
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise GraphParseError(f"expected 'u v', got {line!r}", lineno)
+                a, b = parts
+                if not (line.isascii() and a.isdigit() and b.isdigit()):
+                    raise GraphParseError(f"endpoint not in digits 0-9 in {line!r}", lineno)
+                u, v = bounded_int(a, n - 1), bounded_int(b, n - 1)
+                if u is None or v is None:
+                    raise GraphParseError(f"vertex index out of range [0, {n}) in {line!r}", lineno)
+                if u == v:
+                    raise GraphParseError(f"self-loop at vertex {u}", lineno)
+                if vertex:
+                    rows[u][v] = rows[v][u] = 1
+                else:
+                    rows[u].append(v)
+                    rows[v].append(u)
+        except GraphParseError:
+            if bulk and vertex:
+                return None
+            raise
+    if n is None:
+        raise GraphParseError("missing vertex count line", 1)
+    if not vertex:
+        return LabelledGraph(_freeze(rows))
     if any(row[v] for v, row in enumerate(rows)):
         return None
     return LabelledGraph(_freeze_rows(rows))

@@ -218,15 +218,18 @@ class VerifyResult(NamedTuple):
 def foreign_edges(g: LabelledGraph, t: LabelledTree) -> tuple[Edge, ...]:
     """Tree edges absent from the graph, ascending (phi); reads ``t.adjacency`` with u < v.
 
-    Each tree row is looked up in the graph's row by bisection; a tree
-    edge at a vertex past the graph's order raises IndexError.
+    A tree edge (u, v) is present only when both graph rows list it, each
+    found by bisection, so rows that do not mirror each other cannot
+    vouch for an edge.  A tree edge at a vertex past the graph's order
+    raises IndexError.
     """
     out: list[Edge] = []
+    rows = g.adjacency
     for u, nbrs in enumerate(t.adjacency):
         if nbrs:
-            row = g.adjacency[u]
+            row = rows[u]
             for v in nbrs:
-                if u < v and not _row_has(row, v):
+                if u < v and not (_row_has(row, v) and _row_has(rows[v], u)):
                     out.append((u, v))
     return tuple(out)
 

@@ -20,8 +20,15 @@ from degspan import (
 from degspan.cli import run_batch
 from degspan.extremal import build_extremal, extremal_order
 import degspan.graph
-from degspan.graph import MAX_GENERATED_N, MAX_N, _read_serialized, bounded_int, normalized_edge
+from degspan.graph import MAX_GENERATED_N, MAX_N, bounded_int, normalized_edge
 from support import all_labelled_graphs, complete_graph, graphs, path_graph
+
+
+# K_150 in serialize_graph's layout, about ten blocks, with a self-loop on
+# line 3002 (in the third block) and an out-of-range endpoint on its last
+# line: the self-loop, set in bulk, is the first error.
+_K150 = serialize_graph(complete_graph(150)).splitlines(keepends=True)
+DENSE_SELF_LOOP = "".join(_K150[:3001] + ["7 7\n"] + _K150[3001:] + ["0 150\n"])
 
 
 class TestParse:
@@ -97,6 +104,8 @@ class TestParse:
             ("3\n0 1\n0 x\n", 3, "endpoint not in digits 0-9 in '0 x'"),
             ("3\n# c\n0 3\n", 3, "vertex index out of range [0, 3) in '0 3'"),
             ("3\n0 1\n 2 2\n", 3, "self-loop at vertex 2"),
+            ("5\n0 0\n", 2, "self-loop at vertex 0"),  # sparse: list rows, never bulk
+            pytest.param(DENSE_SELF_LOOP, 3002, "self-loop at vertex 7", id="dense-self-loop"),
         ],
     )
     def test_every_error_names_its_line(self, text, line, message):
@@ -326,9 +335,16 @@ def test_parse_agrees_with_the_per_line_reference(text):
 
 
 def line_loop(text):
-    """``parse_graph`` with the bulk reader switched off."""
-    with mock.patch.object(degspan.graph, "_read_serialized", lambda text: None):
-        return parse_graph(text)
+    """``parse_graph`` with every line read through the per-line checks, none in bulk."""
+    return degspan.graph._read_blocks(text, bulk=False)
+
+
+def read_in_bulk(text):
+    """True iff ``parse_graph`` returns a graph and reads no edge line through
+    the per-line checks, so ``bounded_int`` runs for the vertex count alone."""
+    with mock.patch.object(degspan.graph, "bounded_int", wraps=bounded_int) as spy:
+        parsed = _parsed(parse_graph, text)
+    return isinstance(parsed, LabelledGraph) and spy.call_count == 1
 
 
 @given(graphs(min_n=0, max_n=24))
@@ -336,7 +352,8 @@ def test_bulk_reader_agrees_with_the_line_loop(g):
     text = serialize_graph(g)
     dense = g.n * g.n <= degspan.graph._ROW_BYTES_PER_CHAR * len(text)
     assert line_loop(text) == g
-    assert _read_serialized(text) == (g if dense else None)
+    assert parse_graph(text) == g
+    assert read_in_bulk(text) == (dense or not g.edges)
 
 
 # A dense graph on 5 vertices in serialize_graph's layout.
@@ -354,13 +371,15 @@ CANONICAL = "5\n0 1\n0 2\n0 3\n1 2\n1 4\n2 3\n3 4\n"
         ("1\n", True),
         ("5\n0 1\n", False),  # sparse: n^2 bytes of rows exceed the bound
         (CANONICAL.replace("0 2", "00 2"), False),
-        (CANONICAL.replace("\n", "\r\n"), False),
+        (CANONICAL.replace("\n", "\r\n"), True),  # CRLF folds to LF
+        (CANONICAL.replace("\n", "\r\n")[:-2], True),
         (CANONICAL.replace("0 2", "0\t2"), False),
         (CANONICAL.replace("0 2", "0  2"), False),
         (CANONICAL.replace("0 2", "0 2 "), False),
         (CANONICAL.replace("0 2", " 0 2"), False),
-        (CANONICAL[:-1], False),
-        ("# c\n" + CANONICAL, False),
+        (CANONICAL[:-1], True),  # the last line needs no newline
+        ("# c\n" + CANONICAL, True),  # lines up to the count are read one at a time
+        ("\n# c\r\n  # d\n" + CANONICAL, True),
         (CANONICAL.replace("0 2\n", "0 2\n# c\n"), False),
         (CANONICAL.replace("0 2\n", "0 2\n\n"), False),
         (CANONICAL + "2 2\n", False),
@@ -379,7 +398,7 @@ CANONICAL = "5\n0 1\n0 2\n0 3\n1 2\n1 4\n2 3\n3 4\n"
     ],
 )
 def test_near_canonical_texts_fall_back_to_the_line_loop(text, bulk):
-    assert (_read_serialized(text) is not None) == bulk
+    assert read_in_bulk(text) == bulk
     assert _parsed(parse_graph, text) == _parsed(line_loop, text)
     assert _parsed(parse_graph, text) == _parsed(reference_parse_graph, text)
 
@@ -413,21 +432,50 @@ def test_serialized_dense_graphs_take_the_bulk_path(g, monkeypatch):
     assert parse_graph(serialize_graph(g)) == g
 
 
-def test_bulk_reader_peaks_below_half_the_line_loop():
-    text = serialize_graph(random_condition_graph(300, 3, seed=1))
+def _inserted(text, line):
+    """text with line put in after its middle line."""
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[: len(lines) // 2] + [line] + lines[len(lines) // 2:])
 
-    def peak(parse):
+
+@pytest.mark.parametrize("g", [
+    complete_graph(12),
+    random_condition_graph(120, 3, seed=1),
+    sampled_host(11, seed=2),
+    build_extremal(2, 4)[0],
+])
+@pytest.mark.parametrize("variant", [
+    lambda text: "# a leading comment\n" + text,
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: text[:-1],
+    lambda text: "# \u00e9t\u00e9 \u2211 \U0001d53e\n" + text,
+    # a comment line longer than a block, in the middle of the edge lines
+    lambda text: _inserted(text, "#" + "x" * degspan.graph._BLOCK + "\n"),
+], ids=["comment", "crlf", "no-final-newline", "non-ascii-comment", "long-comment"])
+def test_dense_hand_written_files_keep_the_byte_rows(g, variant, monkeypatch):
+    def no_list_rows(adjacency):
+        raise AssertionError("a dense graph was read into neighbour lists")
+
+    monkeypatch.setattr(degspan.graph, "_freeze", no_list_rows)
+    assert parse_graph(variant(serialize_graph(g))) == g
+
+
+def test_a_comment_line_keeps_the_bulk_peak():
+    bare = serialize_graph(random_condition_graph(300, 3, seed=1))
+    commented = "# random_condition_graph(300, 3, seed=1)\n" + bare
+
+    def peak(text):
         tracemalloc.start()
         try:
-            g = parse(text)
+            g = parse_graph(text)
             return g, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    bulk, bulk_peak = peak(parse_graph)
-    lines, lines_peak = peak(line_loop)
-    assert bulk == lines
-    assert bulk_peak < lines_peak / 2
+    g, bare_peak = peak(bare)
+    h, commented_peak = peak(commented)
+    assert h == g
+    assert commented_peak <= 1.5 * bare_peak
 
 
 @given(graphs())

@@ -793,6 +793,13 @@ class TestVerifyTree:
         assert not out
         assert "not in graph" in out.reason
 
+    def test_graph_rows_that_do_not_mirror_cannot_vouch_for_an_edge(self):
+        g = LabelledGraph(((1, 2, 3), (0, 2), (1,), ()))
+        star = LabelledTree.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        out = verify_tree(g, star, validate_degree_sequence([3, 1, 1, 1]))
+        assert not out
+        assert out.reason == "edge (0, 2) not in graph"
+
     def test_degree_mismatch_names_vertex(self):
         g = complete_graph(4)
         t = LabelledTree.from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -866,6 +873,12 @@ class TestForeignEdges:
         # a vertex past the order with no tree edge is never looked up
         t = LabelledTree.from_edges(4, [(0, 1), (0, 2)])
         assert foreign_edges(path_graph(3), t) == ((0, 2),)
+
+    def test_an_edge_counts_only_when_both_rows_list_it(self):
+        # rows 2 and 3 do not list 0, so the star's edges (0, 2) and (0, 3) are missing
+        g = LabelledGraph(((1, 2, 3), (0, 2), (1,), ()))
+        star = LabelledTree.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        assert foreign_edges(g, star) == ((0, 2), (0, 3))
 
     @given(graphs(min_n=2, max_n=9), graphs(min_n=2, max_n=11))
     @settings(max_examples=200, deadline=None)
