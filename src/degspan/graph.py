@@ -67,6 +67,11 @@ class LabelledGraph(NamedTuple):
     ``adjacency`` holds one ascending neighbor tuple per vertex and is the
     only stored form: ``n`` is its row count, ``edges`` is derived from it,
     adjacency tests bisect, and every iteration order is deterministic.
+    ``LabelledGraph(rows)`` trusts its rows; ``from_edges`` and
+    ``parse_graph`` build rows that mirror each other.  Rows that do not
+    mirror can reach the solver's root-bridge guards, which raise
+    SolverInvariantError; ``verify_tree`` takes a tree edge only when both
+    rows list it, and ``validate_witness`` checks its roots' rows.
     """
 
     adjacency: tuple[tuple[int, ...], ...]

@@ -125,9 +125,11 @@ def prufer_edges(
 
     Decoding joins the smallest current leaf to each word entry in turn
     and finally joins the last leaf to n - 1; vertex v ends with degree
-    1 + multiplicity of v in the word.  ``keep`` sees each edge in that
-    decoding order, before the next is formed.  Entries must lie in
-    [0, n) and the word must have length n - 2.
+    1 + multiplicity of v in the word.  Each edge ``(leaf, w)`` hangs the
+    leaf from w in the tree rooted at n - 1: every vertex but n - 1 is a
+    leaf exactly once.  ``keep`` sees each edge in that decoding order,
+    before the next is formed.  Entries must lie in [0, n) and the word
+    must have length n - 2.
 
     Linear time, with no heap: ``nxt`` only moves up, because a vertex
     that becomes a leaf below it is used at once as the next leaf.

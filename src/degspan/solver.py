@@ -20,16 +20,17 @@ condition that bound is contradictory, which is exactly why the solver
 cannot stall there.
 
 ``find_spanning_tree`` decodes the canonical Prüfer word straight into one
-list adjacency, which each exchange edits at its four endpoints.  One
-search (``_split``) at the first missing edge orients the whole tree, and
-each exchange keeps that orientation: it reroots it at the missing edge's
-parent end, stamps the child end's subtree as that end's side, walks u's
-side's bridges in ascending order, v's only when u's has none, stops at the
-first that is also a hook (``_exchange``) and re-hangs the moved subtrees.
-So no exchange searches the whole tree or builds a hook or bridge set or a
-record; only a stall builds those sets, a RootedForest and a CutAnalysis,
-for the witness.  A stall's split and a found tree are checked against the
-kept orientation.  ``orient_forest``, ``compute_cut_sets`` and
+list adjacency, which each exchange edits at its four endpoints, and one
+parent list: the decode hangs each leaf from its word entry, orienting the
+tree toward n - 1.  Each exchange keeps that orientation: it reroots it at
+the missing edge's parent end, stamps the child end's subtree as that end's
+side, walks u's side's bridges in ascending order, v's only when u's has
+none, stops at the first that is also a hook (``_exchange``) and re-hangs
+the moved subtrees.  So no exchange searches the whole tree or builds a
+hook or bridge set or a record; only a stall builds those sets, a
+RootedForest and a CutAnalysis, for the witness.  One search (``_split``)
+checks the kept orientation: at a stall, or once a found tree took an
+exchange.  ``orient_forest``, ``compute_cut_sets`` and
 ``apply_exchange`` take the same steps on LabelledTree values, and
 ``validate_witness`` rebuilds a witness with them and compares.
 """
@@ -244,7 +245,7 @@ def _split(adj: Sequence[Sequence[int]], u: int, v: int) -> _Split | None:
     the edge and is only read.  Returns u's side and v's side as vertex
     lists in search order, and one parent list in which each root is its
     own parent; None when a vertex is reachable from neither root.  The
-    exchange loop splits at its first missing edge, a stall and its end only.
+    exchange loop splits only to check itself, at a stall or its end.
     """
     parent = [-1] * len(adj)
     parent[u] = u
@@ -528,16 +529,19 @@ def validate_witness(g: LabelledGraph, w: InfeasibilityWitness) -> bool:
     """Rebuild the witness from its stored tree and the graph, and compare.
 
     Returns True only if the tree is a spanning tree on g's vertices,
-    (u, v) with u < v is a tree edge missing from g whose split really
-    stalls, the witness that ``build_witness`` makes of that split equals
-    ``w`` in every field, and each inequality of the chain holds
-    arithmetically.
+    (u, v) with u < v is a tree edge, the graph rows of u and v mirror
+    (each entry is in range and lists that root back), (u, v) is missing
+    from g and its split stalls, ``build_witness`` makes ``w`` of that
+    split in every field, and each inequality of the chain holds.
     """
     if w.tree.n != g.n or w.r < 2 or w.u >= w.v or tree_defect(w.tree) is not None:
         return False
     try:
         f = orient_forest(w.tree, w.u, w.v)
     except ValueError:
+        return False
+    rows = g.adjacency
+    if not all(0 <= x < g.n and _row_has(rows[x], z) for z in (w.u, w.v) for x in rows[z]):
         return False
     c = compute_cut_sets(g, f)
     if g.are_adjacent(w.u, w.v) or c.candidate is not None:
@@ -564,36 +568,31 @@ def _check_kept(split: _Split | None, parent: list[int], p: int, c: int) -> None
 def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
     """Search for a spanning tree of g with the exact degree vector seq.
 
-    Decodes the canonical word into one list adjacency of the tree and
-    exchanges away missing edges, smallest first.  Each exchange edits that
-    adjacency at its four endpoints and the kept orientation along two tree
-    paths, and the ascending list of missing edges loses the one or two
-    tree edges the exchange drops, so no exchange searches the whole tree
-    and the LabelledTree is built once, at the end or at a stall.  Success
-    is guaranteed whenever the graph meets the degree-sum threshold for
-    r = max degree of seq; otherwise the loop still runs to exhaustion and
-    reports the stall witness.
+    Decodes the canonical word into one list adjacency of the tree and its
+    parents toward n - 1, and exchanges away missing edges, smallest first.
+    Each exchange edits that adjacency at its four endpoints and the kept
+    orientation along two tree paths, and the ascending list of missing
+    edges loses the one or two tree edges the exchange drops, so no
+    exchange searches the whole tree and the LabelledTree is built once,
+    at the end or at a stall.  Success is guaranteed whenever the graph
+    meets the degree-sum threshold for r = max degree of seq; otherwise the
+    loop still runs to exhaustion and reports the stall witness.
     """
     if g.n != seq.n:
         raise ValueError(f"graph order {g.n} != sequence length {seq.n}")
     r = max(2, seq.max_degree)
     adj: list[list[int]] = [[] for _ in range(g.n)]
+    parent = list(range(g.n))
     missing: list[Edge] = []
     for a, b in prufer_edges(canonical_word(seq), g.n, _accept_all):
         adj[a].append(b)
         adj[b].append(a)
+        parent[a] = b
         if not _row_has(g.adjacency[a], b):
             missing.append(normalized_edge(a, b))
     missing.sort()
     steps: list[ExchangeStep] = []
-    degrees = seq.degrees
-    if missing:
-        u, v = missing[0]
-        split = _split(adj, u, v)
-        if split is None:
-            raise SolverInvariantError(f"vertices unreachable from both ends of {missing[0]}")
-        parent, stamp = split[2], [0] * g.n
-        parent[v] = u
+    degrees, stamp = seq.degrees, [0] * g.n
     while missing:
         u, v = missing[0]
         p, c = (u, v) if parent[v] == u else (v, u)

@@ -153,6 +153,14 @@ class TestComputeCutSets:
         assert x.add_1 == (0, 2)
         assert x.add_2 == (3, 1)
 
+    def test_rows_that_do_not_mirror_reach_the_root_bridge_guard(self):
+        # row 2 lists 0 but row 0 does not list 2, so 0 is a bridge across (0, 2)
+        g = LabelledGraph(((1,), (0, 2), (0, 1)))
+        f = orient_forest(LabelledTree.from_edges(3, [(1, 0), (0, 2)]), 0, 2)
+        with pytest.raises(SolverInvariantError) as exc:
+            compute_cut_sets(g, f)
+        assert str(exc.value) == "a root is a bridge across the missing edge (0, 2)"
+
     def test_bridge_counts_match_far_neighbor_counts(self):
         g = random_condition_graph(12, 3, seed=2)
         seq = random_degree_sequence(12, 3, random.Random(2))
@@ -273,7 +281,7 @@ class TestFindSpanningTree:
         # The right degrees on a triangle plus a separate edge, not a tree.
         fake = [(0, 1), (1, 2), (0, 2), (3, 4)]
         monkeypatch.setattr(degspan.solver, "prufer_edges", lambda word, n, keep: fake)
-        with pytest.raises(SolverInvariantError, match="unreachable"):
+        with pytest.raises(SolverInvariantError, match="kept orientation does not span the tree"):
             find_spanning_tree(cycle_graph(5), validate_degree_sequence([2, 2, 2, 1, 1]))
 
     @pytest.mark.parametrize("degrees, message", [
@@ -296,6 +304,13 @@ class TestFindSpanningTree:
         monkeypatch.setattr(degspan.solver, "_exchange", tampered)
         with pytest.raises(SolverInvariantError, match=message):
             find_spanning_tree(cycle_graph(5), validate_degree_sequence(degrees))
+
+    def test_rows_that_do_not_mirror_reach_the_loop_root_bridge_guard(self):
+        # rows 2 and 3 do not list 0, so the star on 0 misses (0, 2), which row 0 lists
+        g = LabelledGraph(((1, 2, 3), (0, 2), (1,), ()))
+        with pytest.raises(SolverInvariantError) as exc:
+            find_spanning_tree(g, validate_degree_sequence([3, 1, 1, 1]))
+        assert str(exc.value) == "a root is a bridge across the missing edge (0, 2)"
 
     def test_stall_does_not_orient_again(self, monkeypatch):
         g, seq = build_extremal(1, 3)
@@ -583,25 +598,43 @@ class TestKeptOrientation:
         exchanges = sum(len(find_spanning_tree(g, seq).steps) for g, seq in _dense_instances())
         assert exchanges == 1294 and len(calls) >= exchanges
 
-    def test_found_solve_searches_the_whole_tree_at_most_twice(self, monkeypatch):
+    def test_found_solve_searches_the_whole_tree_once(self, monkeypatch):
         from test_solver_pinned import _dense_instances
 
-        split = degspan.solver._split
-        calls = []
+        found = [(len(res.steps), searches)
+                 for res, searches in _counted_splits(monkeypatch, _dense_instances()) if res.ok]
+        assert len(found) == 44 and max(found)[0] >= 50 and min(found)[0] >= 1
+        assert all(searches == 1 for _, searches in found)
 
-        def counted(*args):
-            calls.append(args[1:])
-            return split(*args)
+    def test_stalled_solve_searches_the_whole_tree_once(self, monkeypatch):
+        from test_solver_pinned import _dense_instances
 
-        monkeypatch.setattr(degspan.solver, "_split", counted)
-        found = []
-        for g, seq in _dense_instances():
-            calls.clear()
-            res = find_spanning_tree(g, seq)
-            if res.ok:
-                found.append((len(res.steps), len(calls)))
-        assert len(found) == 44 and max(found)[0] >= 50
-        assert all(searches <= 2 for _, searches in found)
+        extremal = [build_extremal(k, r) for k, r in [(1, 3), (2, 3), (1, 4)]]
+        stalled = [(len(res.steps), searches)
+                   for res, searches in _counted_splits(monkeypatch,
+                                                        [*_dense_instances(), *extremal])
+                   if not res.ok]
+        assert len(stalled) == 16 + 3 and min(stalled)[0] == 0 and max(stalled)[0] >= 1
+        assert all(searches == 1 for _, searches in stalled)
+
+    def test_solve_without_an_exchange_never_searches_the_whole_tree(self, monkeypatch):
+        from test_solver_pinned import _instances
+
+        searches = [searches for res, searches in _counted_splits(monkeypatch, _instances())
+                    if res.ok and not res.steps]
+        assert len(searches) == 70 and not any(searches)
+
+
+def _counted_splits(monkeypatch, instances):
+    """Each solve of ``instances`` with the number of ``_split`` calls it made."""
+    split = degspan.solver._split
+    calls = []
+    monkeypatch.setattr(degspan.solver, "_split", lambda *args: calls.append(args) or split(*args))
+    out = []
+    for g, seq in instances:
+        calls.clear()
+        out.append((find_spanning_tree(g, seq), len(calls)))
+    return out
 
 
 class TestGuarantee:
@@ -739,6 +772,20 @@ class TestWitness:
             tree = LabelledTree(w.tree.adjacency + (extra,))
             assert tree.n == g.n + 1
             assert not validate_witness(g, w._replace(tree=tree))
+
+    @pytest.mark.parametrize("x, row", [
+        # row 1 also lists 0, which compute_cut_sets would report as a root bridge
+        (1, (0, 2, 3, 4, 5)),
+        # row 2 drops 0 while row 0 still lists 2, so u's counts take an edge row 2 denies
+        (2, (1, 3, 4, 5)),
+    ])
+    def test_graph_rows_that_do_not_mirror_fail_validation(self, x, row):
+        g, seq = build_extremal(1, 3)
+        w = find_spanning_tree(g, seq).witness
+        assert (w.u, w.v) == (0, 1) and validate_witness(g, w)
+        rows = list(g.adjacency)
+        rows[x] = row
+        assert validate_witness(LabelledGraph(tuple(rows)), w) is False
 
     def test_witness_of_another_split_fails_validation(self):
         g, seq = build_extremal(2, 3)
