@@ -126,44 +126,39 @@ class LabelledGraph(NamedTuple):
         return {"n": self.n, "edges": self.edges}
 
 
-def parse_graph(text: str) -> LabelledGraph:
-    """Parse the edge-list file format.
-
-    First non-comment line is the vertex count n, at most ``MAX_N``; every
-    following non-comment line is ``u v`` with 0 <= u, v < n and u != v.
-    Every number is a run of ASCII digits 0-9, nothing else.  Whole lines
-    starting with '#' and blank lines are ignored.  Duplicate edge lines
-    collapse to a single edge; self-loops are an error.  A dense graph's
-    text with a self-loop or an error is read twice, the second time line
-    by line, so every message and line number comes from the line checks.
-    """
-    return _read_blocks(text, bulk=True) or _read_blocks(text, bulk=False)
-
-
 _BLOCK = 1 << 13
-"""About how many characters ``_read_blocks`` reads at a time after the vertex count."""
+"""About how many characters ``parse_graph`` reads at a time after the vertex count."""
 
 _ROW_BYTES_PER_CHAR = 4
 """Edges go into n^2 row bytes only up to this many per input character, else into lists."""
 
 
-def _read_blocks(text: str, bulk: bool) -> LabelledGraph | None:
-    """The graph of ``text``; raises GraphParseError naming the first bad line.
+def parse_graph(text: str) -> LabelledGraph:
+    """Parse the edge-list file format; raises GraphParseError naming the first bad line.
 
-    Lines up to the vertex count are read one at a time, then blocks of
-    about ``_BLOCK`` characters cut after a newline; a longer line, or a
-    last line with no newline, ends its block.  CRLF becomes LF in a block
-    that holds a carriage return.  Rows are a ``bytearray`` of n bytes per
-    vertex when n^2 is at most ``_ROW_BYTES_PER_CHAR`` bytes per input
-    character, so only a dense graph's cost n^2; else they are lists.
+    First non-comment line is the vertex count n, at most ``MAX_N``; every
+    following non-comment line is ``u v`` with 0 <= u, v < n and u != v.
+    Every number is a run of ASCII digits 0-9, nothing else.  Whole lines
+    starting with '#' and blank lines are ignored.  Duplicate edge lines
+    collapse to a single edge; self-loops are an error.
 
-    With ``bulk``, a block of byte rows in ``serialize_graph``'s layout is
-    set at once: deleting its digits leaves one space-newline per line, it
-    splits into two tokens per line, and each token is a key of one dict
-    of the names ``str(i)``, i < n.  Every other block goes line by line:
-    each line is checked once, and ``bounded_int`` rejects an oversized
-    number without converting it.  A self-loop set in bulk is a diagonal
-    byte, and a later error may follow one, so either returns None.
+    The text is read once.  Lines up to the vertex count are read one at a
+    time, then blocks of about ``_BLOCK`` characters cut after a newline; a
+    longer line, or a last line with no newline, ends its block.  CRLF
+    becomes LF in a block that holds a carriage return.  Rows are a
+    ``bytearray`` of n bytes per vertex when n^2 is at most
+    ``_ROW_BYTES_PER_CHAR`` bytes per input character, so only a dense
+    graph's cost n^2; else they are lists.
+
+    A block of byte rows in ``serialize_graph``'s layout is set at once:
+    deleting its digits leaves one space-newline per line, it splits into
+    two tokens per line, and each token is a key of one dict of the names
+    ``str(i)``, i < n.  A token that is not such a name, or a self-loop,
+    stops the setting and sends the block line by line; bytes already set
+    are set again.  Every other block goes line by line: each line is
+    checked once, and ``bounded_int`` rejects an oversized number without
+    converting it.  Every block before the one that holds an error is free
+    of errors, so the line checks raise at the first bad line.
     """
     n: int | None = None
     rows: list[Any] = []
@@ -179,61 +174,55 @@ def _read_blocks(text: str, bulk: bool) -> LabelledGraph | None:
         if "\r" in block:
             block = block.replace("\r\n", "\n")
         lines = block.count("\n")
-        if (bulk and vertex and block.isascii()
+        if (vertex and block.isascii()
                 and block.encode().translate(None, b"0123456789") == b" \n" * lines
                 and len(tokens := block.split()) == 2 * lines):
             ends = map(vertex, tokens)
             try:
                 for u, v in zip(ends, ends):
-                    rows[u][v] = rows[v][u] = 1
-                lineno += lines
-                continue
-            except KeyError:  # a token that is not a canonical name
-                pass
-        try:
-            for lineno, raw in enumerate(block.splitlines(), start=lineno + 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if n is None:
-                    if not (line.isascii() and line.isdigit()):
-                        raise GraphParseError(f"expected vertex count, got {line!r}", lineno)
-                    n = bounded_int(line, MAX_N)
-                    if n is None:
-                        raise GraphParseError(f"vertex count exceeds the limit {MAX_N}", lineno)
-                    if n * n <= _ROW_BYTES_PER_CHAR * len(text):
-                        rows = [bytearray(n) for _ in range(n)]
-                        vertex = {str(i): i for i in range(n)}.__getitem__
-                    else:
-                        rows = [[] for _ in range(n)]
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise GraphParseError(f"expected 'u v', got {line!r}", lineno)
-                a, b = parts
-                if not (line.isascii() and a.isdigit() and b.isdigit()):
-                    raise GraphParseError(f"endpoint not in digits 0-9 in {line!r}", lineno)
-                u, v = bounded_int(a, n - 1), bounded_int(b, n - 1)
-                if u is None or v is None:
-                    raise GraphParseError(f"vertex index out of range [0, {n}) in {line!r}", lineno)
-                if u == v:
-                    raise GraphParseError(f"self-loop at vertex {u}", lineno)
-                if vertex:
+                    if u == v:
+                        break
                     rows[u][v] = rows[v][u] = 1
                 else:
-                    rows[u].append(v)
-                    rows[v].append(u)
-        except GraphParseError:
-            if bulk and vertex:
-                return None
-            raise
+                    lineno += lines
+                    continue
+            except KeyError:  # a token that is not a canonical name
+                pass
+        for lineno, raw in enumerate(block.splitlines(), start=lineno + 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if n is None:
+                if not (line.isascii() and line.isdigit()):
+                    raise GraphParseError(f"expected vertex count, got {line!r}", lineno)
+                n = bounded_int(line, MAX_N)
+                if n is None:
+                    raise GraphParseError(f"vertex count exceeds the limit {MAX_N}", lineno)
+                if n * n <= _ROW_BYTES_PER_CHAR * len(text):
+                    rows = [bytearray(n) for _ in range(n)]
+                    vertex = {str(i): i for i in range(n)}.__getitem__
+                else:
+                    rows = [[] for _ in range(n)]
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise GraphParseError(f"expected 'u v', got {line!r}", lineno)
+            a, b = parts
+            if not (line.isascii() and a.isdigit() and b.isdigit()):
+                raise GraphParseError(f"endpoint not in digits 0-9 in {line!r}", lineno)
+            u, v = bounded_int(a, n - 1), bounded_int(b, n - 1)
+            if u is None or v is None:
+                raise GraphParseError(f"vertex index out of range [0, {n}) in {line!r}", lineno)
+            if u == v:
+                raise GraphParseError(f"self-loop at vertex {u}", lineno)
+            if vertex:
+                rows[u][v] = rows[v][u] = 1
+            else:
+                rows[u].append(v)
+                rows[v].append(u)
     if n is None:
         raise GraphParseError("missing vertex count line", 1)
-    if not vertex:
-        return LabelledGraph(_freeze(rows))
-    if any(row[v] for v, row in enumerate(rows)):
-        return None
-    return LabelledGraph(_freeze_rows(rows))
+    return LabelledGraph(_freeze_rows(rows) if vertex else _freeze(rows))
 
 
 def bounded_int(digits: str, limit: int) -> int | None:

@@ -26,9 +26,32 @@ from support import all_labelled_graphs, complete_graph, graphs, path_graph
 
 # K_150 in serialize_graph's layout, about ten blocks, with a self-loop on
 # line 3002 (in the third block) and an out-of-range endpoint on its last
-# line: the self-loop, set in bulk, is the first error.
+# line: the bulk setting stops at the self-loop, the first error, and the
+# third block's line checks raise there.
 _K150 = serialize_graph(complete_graph(150)).splitlines(keepends=True)
 DENSE_SELF_LOOP = "".join(_K150[:3001] + ["7 7\n"] + _K150[3001:] + ["0 150\n"])
+
+
+def _block_starts(text):
+    """The line numbers that open parse_graph's blocks after the count on
+    line 1, for a text whose lines are all shorter than a block."""
+    pos, lineno, starts = text.index("\n") + 1, 2, []
+    while pos < len(text):
+        starts.append(lineno)
+        cut = text.rfind("\n", pos, pos + degspan.graph._BLOCK) + 1
+        lineno += text.count("\n", pos, cut)
+        pos = cut
+    return starts
+
+
+def _dense_self_loop_at_block_edge(first):
+    """K_150 with a self-loop put in where it is the first (or last) line of
+    an edge block after the first, and that line's number."""
+    for lineno in _block_starts("".join(_K150))[1:]:
+        text = "".join(_K150[: lineno - 1] + ["7 7\n"] + _K150[lineno - 1:])
+        if (lineno if first else lineno + 1) in _block_starts(text):
+            return text, lineno
+    raise AssertionError("no block edge takes the self-loop")
 
 
 class TestParse:
@@ -106,6 +129,19 @@ class TestParse:
             ("3\n0 1\n 2 2\n", 3, "self-loop at vertex 2"),
             ("5\n0 0\n", 2, "self-loop at vertex 0"),  # sparse: list rows, never bulk
             pytest.param(DENSE_SELF_LOOP, 3002, "self-loop at vertex 7", id="dense-self-loop"),
+            pytest.param(
+                "".join(_K150[:100] + ["0 150\n"] + _K150[100:3000] + ["7 7\n"] + _K150[3000:]),
+                101, "vertex index out of range [0, 150) in '0 150'",
+                id="dense-out-of-range-before-a-later-self-loop",
+            ),
+            pytest.param(*_dense_self_loop_at_block_edge(first=True), "self-loop at vertex 7",
+                         id="dense-self-loop-opens-a-block"),
+            pytest.param(*_dense_self_loop_at_block_edge(first=False), "self-loop at vertex 7",
+                         id="dense-self-loop-ends-a-block"),
+            pytest.param(
+                "".join(_K150[:2999] + ["007 1\n"] + _K150[2999:3000] + ["7 7\n"] + _K150[3000:]),
+                3002, "self-loop at vertex 7", id="dense-self-loop-after-a-non-canonical-name",
+            ),
         ],
     )
     def test_every_error_names_its_line(self, text, line, message):
@@ -113,6 +149,14 @@ class TestParse:
             parse_graph(text)
         assert exc.value.line == line
         assert str(exc.value) == f"line {line}: {message}"
+
+    def test_a_dense_self_loop_is_read_once(self):
+        with mock.patch.object(degspan.graph, "bounded_int", wraps=bounded_int) as spy:
+            with pytest.raises(GraphParseError) as exc:
+                parse_graph(DENSE_SELF_LOOP)
+        assert str(exc.value) == "line 3002: self-loop at vertex 7"
+        # the count, then two per line of the third block up to the self-loop
+        assert spy.call_count < 1000
 
     def test_leading_zeros_keep_their_value(self):
         g = parse_graph("0004\n00 03\n" + "0" * 5000 + "1 2\n")
@@ -334,11 +378,6 @@ def test_parse_agrees_with_the_per_line_reference(text):
     assert _parsed(parse_graph, text) == _parsed(reference_parse_graph, text)
 
 
-def line_loop(text):
-    """``parse_graph`` with every line read through the per-line checks, none in bulk."""
-    return degspan.graph._read_blocks(text, bulk=False)
-
-
 def read_in_bulk(text):
     """True iff ``parse_graph`` returns a graph and reads no edge line through
     the per-line checks, so ``bounded_int`` runs for the vertex count alone."""
@@ -351,7 +390,7 @@ def read_in_bulk(text):
 def test_bulk_reader_agrees_with_the_line_loop(g):
     text = serialize_graph(g)
     dense = g.n * g.n <= degspan.graph._ROW_BYTES_PER_CHAR * len(text)
-    assert line_loop(text) == g
+    assert reference_parse_graph(text) == g
     assert parse_graph(text) == g
     assert read_in_bulk(text) == (dense or not g.edges)
 
@@ -399,7 +438,6 @@ CANONICAL = "5\n0 1\n0 2\n0 3\n1 2\n1 4\n2 3\n3 4\n"
 )
 def test_near_canonical_texts_fall_back_to_the_line_loop(text, bulk):
     assert read_in_bulk(text) == bulk
-    assert _parsed(parse_graph, text) == _parsed(line_loop, text)
     assert _parsed(parse_graph, text) == _parsed(reference_parse_graph, text)
 
 
