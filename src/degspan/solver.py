@@ -27,12 +27,13 @@ the missing edge's parent end, stamps the child end's subtree as that end's
 side, walks u's side's bridges in ascending order, v's only when u's has
 none, stops at the first that is also a hook (``_exchange``) and re-hangs
 the moved subtrees.  So no exchange searches the whole tree or builds a
-hook or bridge set or a record; only a stall builds those sets, a
-RootedForest and a CutAnalysis, for the witness.  One search (``_split``)
-checks the kept orientation: at a stall, or once a found tree took an
-exchange.  ``orient_forest``, ``compute_cut_sets`` and
-``apply_exchange`` take the same steps on LabelledTree values, and
-``validate_witness`` rebuilds a witness with them and compares.
+hook or bridge set or a record; only a stall builds those sets and a
+CutAnalysis, for the witness.  One search (``_split``) checks the kept
+orientation, at a stall or once a found tree took an exchange, and its
+RootedForest is the split that a stall's witness counts.
+``orient_forest``, ``compute_cut_sets`` and ``apply_exchange`` take the
+same steps on LabelledTree values, and ``validate_witness`` rebuilds a
+witness with them and compares.
 """
 
 from collections.abc import Collection, Sequence
@@ -70,18 +71,16 @@ class SolverInvariantError(RuntimeError):
 
 
 class RootedForest(NamedTuple):
-    """A tree split at one edge, each side oriented away from its root.
+    """A tree cut at its edge (side_u[0], side_v[0]), each side oriented away from its root.
 
-    ``component[x]`` is 0 on the side rooted at u (the smaller endpoint of
-    the removed edge) and 1 on the side rooted at v.  ``parent`` is None
-    exactly at the two roots; following it from anywhere reaches a root.
+    ``side_u`` and ``side_v`` list each side's vertices in search order,
+    each opening with its root.  Each root is its own ``parent``;
+    following ``parent`` from anywhere else reaches the root of its side.
     """
 
-    removed_edge: Edge
-    component: tuple[int, ...]
-    parent: tuple[int | None, ...]
-    size_u: int
-    size_v: int
+    side_u: tuple[int, ...]
+    side_v: tuple[int, ...]
+    parent: tuple[int, ...]
 
 
 class Exchange(NamedTuple):
@@ -235,17 +234,14 @@ def foreign_edges(g: LabelledGraph, t: LabelledTree) -> tuple[Edge, ...]:
     return tuple(out)
 
 
-_Split = tuple[list[int], list[int], list[int]]
-
-
-def _split(adj: Sequence[Sequence[int]], u: int, v: int) -> _Split | None:
+def _split(adj: Sequence[Sequence[int]], u: int, v: int) -> RootedForest | None:
     """The tree adjacency ``adj`` cut at its edge (u, v), each side searched from its root.
 
     ``adj``, the solver's lists or a tree's neighbour tuples, still holds
-    the edge and is only read.  Returns u's side and v's side as vertex
-    lists in search order, and one parent list in which each root is its
-    own parent; None when a vertex is reachable from neither root.  The
-    exchange loop splits only to check itself, at a stall or its end.
+    the edge and is only read.  Returns the RootedForest whose ``side_u``
+    opens with u and ``side_v`` with v, or None when a vertex is reachable
+    from neither root.  The exchange loop splits only to check itself, at
+    a stall or its end.
     """
     parent = [-1] * len(adj)
     parent[u] = u
@@ -262,41 +258,25 @@ def _split(adj: Sequence[Sequence[int]], u: int, v: int) -> _Split | None:
     side_u, side_v = sides
     if len(side_u) + len(side_v) != len(adj):
         return None
-    return side_u, side_v, parent
-
-
-def _forest(u: int, v: int, split: _Split) -> RootedForest:
-    """The RootedForest of a ``_split`` at (u, v), u < v: the roots' parents become None."""
-    side_u, side_v, parent = split
-    component = [0] * len(parent)
-    for x in side_v:
-        component[x] = 1
-    oriented: list[int | None] = list(parent)
-    oriented[u] = oriented[v] = None
-    return RootedForest(
-        removed_edge=(u, v),
-        component=tuple(component),
-        parent=tuple(oriented),
-        size_u=len(side_u),
-        size_v=len(side_v),
-    )
+    return RootedForest(tuple(side_u), tuple(side_v), tuple(parent))
 
 
 def orient_forest(t: LabelledTree, u: int, v: int) -> RootedForest:
     """Remove tree edge (u, v) and orient both components away from its ends.
 
-    The smaller end is root u (side 0) in either argument order.  Raises
-    ValueError unless (u, v) is a tree edge whose split reaches every vertex.
+    Returns the ``_split`` at the edge, whose ``side_u`` opens with the
+    smaller end in either argument order.  Raises ValueError unless (u, v)
+    is a tree edge whose split reaches every vertex.
     """
     if not (0 <= u < t.n and 0 <= v < t.n):
         raise ValueError(f"vertices ({u}, {v}) out of range")
     if v not in t.adjacency[u]:
         raise ValueError(f"({u}, {v}) is not a tree edge")
     u, v = normalized_edge(u, v)
-    split = _split(t.adjacency, u, v)
-    if split is None:
+    f = _split(t.adjacency, u, v)
+    if f is None:
         raise ValueError("input is not a tree: some vertices unreachable from the split")
-    return _forest(u, v, split)
+    return f
 
 
 def _select(
@@ -304,7 +284,7 @@ def _select(
     near: int,
     far: int,
     vertices: Collection[int],
-    parent: Sequence[int | None],
+    parent: Sequence[int],
 ) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
     """Hooks, bridges (graph neighbours of ``far``) and ``same`` (those of ``near``) of a side.
 
@@ -313,7 +293,6 @@ def _select(
     """
     mine = frozenset(vertices)
     same = mine.intersection(g.adjacency[near])
-    # same never holds a root (no loops), so every parent read is an int
     return frozenset(map(parent.__getitem__, same)), mine.intersection(g.adjacency[far]), same
 
 
@@ -325,7 +304,7 @@ def _exchange(
     label: Sequence[int],
     tag: int,
     inside: bool,
-    parent: Sequence[int | None],
+    parent: Sequence[int],
     adj: Sequence[Sequence[int]],
 ) -> Exchange | None:
     """The exchange on the side of a split rooted at ``near``, or None.
@@ -355,23 +334,25 @@ def _exchange(
 def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
     """Hook/bridge sets of the split plus the first applicable exchange.
 
-    The sets come from ``_select`` and the candidate from ``_exchange``,
-    the u side's exchange when it has one.  The roots themselves can be
-    hooks, but never bridges while (u, v) is missing from the graph.
+    The split ``f`` is cut at (u, v) = (f.side_u[0], f.side_v[0]).  The
+    sets come from ``_select`` and the candidate from ``_exchange``, the u
+    side's exchange when it has one.  The roots themselves can be hooks,
+    but never bridges while (u, v) is missing from the graph.
     """
-    u, v = f.removed_edge
+    u, v = f.side_u[0], f.side_v[0]
     if not g.are_adjacent(u, v) and (u in g.adjacency[v] or v in g.adjacency[u]):
         raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
-    comp, parent = f.component, f.parent
-    side_u = [x for x, c in enumerate(comp) if c == 0]
-    side_v = [x for x, c in enumerate(comp) if c == 1]
+    parent = f.parent
+    label = [0] * len(parent)
+    for x in f.side_v:
+        label[x] = 1
     # the tree's adjacency is not at hand, so w's children come from parent
-    children: list[list[int]] = [[] for _ in comp]
+    children: list[list[int]] = [[] for _ in parent]
     for x, p in enumerate(parent):
-        if p is not None:
+        if p != x:
             children[p].append(x)
-    hooks_u, bridges_u, same_u = _select(g, u, v, side_u, parent)
-    hooks_v, bridges_v, same_v = _select(g, v, u, side_v, parent)
+    hooks_u, bridges_u, same_u = _select(g, u, v, f.side_u, parent)
+    hooks_v, bridges_v, same_v = _select(g, v, u, f.side_v, parent)
     return CutAnalysis(
         hooks_u=hooks_u,
         bridges_u=bridges_u,
@@ -379,8 +360,8 @@ def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
         bridges_v=bridges_v,
         u_nbrs_same=len(same_u),
         v_nbrs_same=len(same_v),
-        candidate=(_exchange(g, "u", u, v, comp, 1, False, parent, children)
-                   or _exchange(g, "v", v, u, comp, 1, True, parent, children)),
+        candidate=(_exchange(g, "u", u, v, label, 1, False, parent, children)
+                   or _exchange(g, "v", v, u, label, 1, True, parent, children)),
     )
 
 
@@ -494,14 +475,16 @@ def build_witness(
 ) -> InfeasibilityWitness:
     """Assemble the counting record for a split with no exchange.
 
-    Requires a stalled analysis (no candidate).  ``r`` must dominate the
-    tree's degree vector so the per-vertex child counts stay below r.
+    Requires a stalled analysis (no candidate).  The pair is the split's
+    roots and the sizes its side lengths.  ``r`` must dominate the tree's
+    degree vector so the per-vertex child counts stay below r.
     """
     if c.candidate is not None:
         raise ValueError("an exchange is available; nothing to witness")
-    u, v = f.removed_edge
+    u, v = f.side_u[0], f.side_v[0]
+    size_u, size_v = len(f.side_u), len(f.side_v)
     deg_u, deg_v = g.degree(u), g.degree(v)
-    chain = _witness_chain(r, f.size_u, f.size_v, c, deg_u, deg_v)
+    chain = _witness_chain(r, size_u, size_v, c, deg_u, deg_v)
     n = t.n
     contradicts = False
     if n >= r + 1:
@@ -510,8 +493,8 @@ def build_witness(
         u=u,
         v=v,
         r=r,
-        size_u=f.size_u,
-        size_v=f.size_v,
+        size_u=size_u,
+        size_v=size_v,
         hooks_u=len(c.hooks_u),
         bridges_u=len(c.bridges_u),
         hooks_v=len(c.hooks_v),
@@ -558,10 +541,10 @@ def _reroot(parent: list[int], x: int) -> None:
     parent[x] = prev
 
 
-def _check_kept(split: _Split | None, parent: list[int], p: int, c: int) -> None:
-    """Raise SolverInvariantError unless ``split`` at (p, c) orients the tree as ``parent``,
-    which is rooted at p."""
-    if split is None or split[2][:c] + [p] + split[2][c + 1:] != parent:
+def _check_kept(f: RootedForest | None, parent: list[int], p: int, c: int) -> None:
+    """Raise SolverInvariantError unless the split ``f`` at (p, c) orients the tree as
+    ``parent``, which is rooted at p."""
+    if f is None or f.parent != (*parent[:c], c, *parent[c + 1:]):
         raise SolverInvariantError("the kept orientation does not span the tree")
 
 
@@ -615,8 +598,7 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
         x = (_exchange(g, "u", u, v, stamp, tag, u == c, parent, adj)
              or _exchange(g, "v", v, u, stamp, tag, v == c, parent, adj))
         if x is None:
-            _check_kept(split := _split(adj, u, v), parent, p, c)
-            f = _forest(u, v, split)
+            _check_kept(f := _split(adj, u, v), parent, p, c)
             witness = build_witness(g, _tree_of(adj), f, compute_cut_sets(g, f), r)
             return SolveResult(tree=None, witness=witness, steps=tuple(steps))
         for a, b in (x.add_1, x.add_2):

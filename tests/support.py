@@ -138,14 +138,14 @@ def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
     smallest hook-and-bridge vertex w, then the smallest of its children
     adoptable by the near root.
     """
-    u, v = f.removed_edge
-    comp, parent = f.component, f.parent
-    u_same = [y for y in g.adjacency[u] if comp[y] == 0]
-    v_same = [y for y in g.adjacency[v] if comp[y] == 1]
+    u, v = f.side_u[0], f.side_v[0]
+    on_u, on_v, parent = set(f.side_u), set(f.side_v), f.parent
+    u_same = [y for y in g.adjacency[u] if y in on_u]
+    v_same = [y for y in g.adjacency[v] if y in on_v]
     hooks_u = frozenset(parent[y] for y in u_same)
     hooks_v = frozenset(parent[y] for y in v_same)
-    bridges_u = frozenset([x for x in g.adjacency[v] if comp[x] == 0])
-    bridges_v = frozenset([x for x in g.adjacency[u] if comp[x] == 1])
+    bridges_u = frozenset([x for x in g.adjacency[v] if x in on_u])
+    bridges_v = frozenset([x for x in g.adjacency[u] if x in on_v])
     if not g.are_adjacent(u, v) and (u in bridges_u or v in bridges_v):
         raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
     candidate: Exchange | None = None

@@ -23,6 +23,7 @@ from degspan import (
     check_condition,
     find_spanning_tree,
     oracle_find,
+    prufer_decode,
     random_condition_graph,
     random_degree_sequence,
     realize_tree,
@@ -49,6 +50,7 @@ from support import (
     low_degree_sequence,
     matchings,
     path_graph,
+    prufer_words,
     reference_find_spanning_tree,
 )
 from support import compute_cut_sets as reference_cut_sets  # the comprehension-based rule
@@ -58,15 +60,15 @@ class TestOrientForest:
     def test_star_split(self):
         star = LabelledTree.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         f = orient_forest(star, 0, 1)
-        assert f.removed_edge == (0, 1)
-        assert f.size_u == 3 and f.size_v == 1
-        assert f.parent[0] is None and f.parent[1] is None
+        assert (f.side_u[0], f.side_v[0]) == (0, 1)
+        assert len(f.side_u) == 3 and len(f.side_v) == 1
+        assert f.parent[0] == 0 and f.parent[1] == 1
         assert f.parent[2] == 0 and f.parent[3] == 0
 
     def test_path_split(self):
         path = LabelledTree.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         f = orient_forest(path, 1, 2)
-        assert f.component == (0, 0, 1, 1)
+        assert sorted(f.side_u) == [0, 1] and sorted(f.side_v) == [2, 3]
         assert f.parent[0] == 1 and f.parent[3] == 2
 
     def test_partition_sizes(self):
@@ -74,8 +76,8 @@ class TestOrientForest:
         t = realize_tree(seq)
         for u, v in t.edges:
             f = orient_forest(t, u, v)
-            assert f.size_u + f.size_v == t.n
-            assert f.size_u == sum(1 for c in f.component if c == 0)
+            assert len(f.side_u) + len(f.side_v) == t.n
+            assert sorted(f.side_u + f.side_v) == list(range(t.n))
 
     def test_requires_tree_edge(self):
         path = LabelledTree.from_edges(3, [(0, 1), (1, 2)])
@@ -101,7 +103,7 @@ class TestOrientForest:
         t = LabelledTree.from_edges(4, [(0, 1), (1, 2), (0, 3)])
         f = orient_forest(t, 3, 0)
         assert f == orient_forest(t, 0, 3)
-        assert f.component == (0, 0, 0, 1) and f.size_u == 3
+        assert sorted(f.side_u) == [0, 1, 2] and f.side_v == (3,)
         assert compute_cut_sets(g, f).candidate is not None
 
     def test_parents_walk_to_roots(self):
@@ -111,9 +113,28 @@ class TestOrientForest:
         f = orient_forest(t, u, v)
         for x in range(t.n):
             y = x
-            while f.parent[y] is not None:
+            while f.parent[y] != y:
                 y = f.parent[y]
-            assert y == (u if f.component[x] == 0 else v)
+            assert y == (u if x in f.side_u else v)
+
+    @given(prufer_words(max_n=12))
+    def test_drawn_trees_split_into_two_rooted_sides(self, case):
+        n, word = case
+        t = prufer_decode(word, n)
+        for u, v in t.edges:  # u < v
+            f = orient_forest(t, u, v)
+            assert f == orient_forest(t, v, u) == degspan.solver._split(t.adjacency, u, v)
+            assert f.side_u[0] == u and f.side_v[0] == v
+            assert sorted(f.side_u + f.side_v) == list(range(n))
+            for side in (f.side_u, f.side_v):
+                root = side[0]
+                assert f.parent[root] == root
+                for x in side[1:]:
+                    assert f.parent[x] != x
+                    y = x
+                    for _ in range(n):  # n steps reach the root and stay there
+                        y = f.parent[y]
+                    assert y == root
 
 
 class TestComputeCutSets:
@@ -168,10 +189,8 @@ class TestComputeCutSets:
         for u, v in t.edges:
             f = orient_forest(t, u, v)
             c = compute_cut_sets(g, f)
-            u_side = [x for x in range(g.n) if f.component[x] == 0]
-            v_side = [x for x in range(g.n) if f.component[x] == 1]
-            assert len(c.bridges_u) == sum(g.are_adjacent(v, x) for x in u_side)
-            assert len(c.bridges_v) == sum(g.are_adjacent(u, x) for x in v_side)
+            assert len(c.bridges_u) == sum(g.are_adjacent(v, x) for x in f.side_u)
+            assert len(c.bridges_v) == sum(g.are_adjacent(u, x) for x in f.side_v)
             assert len(c.bridges_u) + c.v_nbrs_same == g.degree(v)
             assert len(c.bridges_v) + c.u_nbrs_same == g.degree(u)
 
@@ -473,7 +492,7 @@ class TestCutSetsReference:
 def _reference_exchange(g, f, side):
     """The reference rule on one side alone: the smallest hook-and-bridge w, its smallest y."""
     c = reference_cut_sets(g, f)
-    u, v = f.removed_edge
+    u, v = f.side_u[0], f.side_v[0]
     if side == "u":
         near, far, both = u, v, c.hooks_u & c.bridges_u
     else:
@@ -493,8 +512,8 @@ def _walks(g, t, u, v):
     reversed), stamps on one side and parents in which each root is its own
     parent (the loop's kept parents hang the child end from the parent end,
     which the walk reads only when (u, v) is a graph edge);
-    compute_cut_sets passes the component labels, child lists and a parent
-    tuple with None at the roots.
+    compute_cut_sets passes labels set from ``side_v``, child lists and the
+    split's parent tuple.
     """
     f = orient_forest(t, u, v)
     adj = [a[::-1] for a in map(list, t.adjacency)]
@@ -502,14 +521,17 @@ def _walks(g, t, u, v):
     stamp = [0] * t.n
     for x in side_v:
         stamp[x] = 5
+    label = [0] * t.n
+    for x in f.side_v:
+        label[x] = 1
     children = [[] for _ in range(t.n)]
     for x, p in enumerate(f.parent):
-        if p is not None:
+        if p != x:
             children[p].append(x)
     walks = {}
     for side, near, far, inside in (("u", u, v, False), ("v", v, u, True)):
         in_loop = degspan.solver._exchange(g, side, near, far, stamp, 5, inside, loop_parent, adj)
-        in_cut_sets = degspan.solver._exchange(g, side, near, far, f.component, 1, inside,
+        in_cut_sets = degspan.solver._exchange(g, side, near, far, label, 1, inside,
                                                f.parent, children)
         assert in_loop == in_cut_sets
         walks[side] = in_loop
