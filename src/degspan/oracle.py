@@ -13,7 +13,7 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from math import factorial, fsum, lgamma, log, perm, prod
 
-from .graph import Edge, LabelledGraph
+from .graph import LabelledGraph
 from .sequences import DegreeSequence, canonical_word, prufer_edges
 from .tree import LabelledTree
 
@@ -71,37 +71,37 @@ def _next_permutation(a: list[int]) -> bool:
     return True
 
 
-def _contained_trees(g: LabelledGraph, seq: DegreeSequence, budget: int) -> Iterator[list[Edge]]:
-    """Edge lists of the trees with this degree vector that lie inside g.
+def _contained_trees(g: LabelledGraph, seq: DegreeSequence, budget: int) -> Iterator[list[int]]:
+    """Code words of the trees with this degree vector that lie inside g.
 
     Checks the instance before decoding any word, then walks the words in
-    lexicographic order and yields each contained tree's edges.  The log of
+    lexicographic order, stops decoding each at its first edge missing
+    from g, and yields each contained word.  The yielded list is the walk's
+    own, so it holds that word only until the walk resumes.  The log of
     ``count_trees(seq)``, lgamma(n - 1) - sum(lgamma(d_i)), is off by far
     less than 1, so an estimate over log(budget) + 1 is refused without the
     exact count: its factorials take seconds at large n, and it may have
     too many digits to print.  Otherwise the exact count decides.
     """
-    n = seq.n
+    n, degrees = seq.n, seq.degrees
     if g.n != n:
         raise ValueError(f"graph order {g.n} != sequence length {n}")
-    log_total = lgamma(n - 1) - fsum(map(lgamma, seq.degrees))
+    log_total = lgamma(n - 1) - fsum(map(lgamma, degrees))
     total = None if log_total > log(max(budget, 1)) + 1 else count_trees(seq)
     if total is None or total > budget:
         raise OracleBudgetError(total, budget, log_total / log(10))
     adjacency = g.adjacency
-
-    def keep(u: int, v: int) -> bool:
-        # The decoder names only vertices in [0, n), so no bounds check.
-        row = adjacency[u]
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
-
     word = list(canonical_word(seq))
     more = True
     while more:
-        edges = prufer_edges(word, n, keep)
-        if edges is not None:
-            yield edges
+        # The decoder names only vertices in [0, n), so no bounds check.
+        for u, v in prufer_edges(word, degrees):
+            row = adjacency[u]
+            i = bisect_left(row, v)
+            if i == len(row) or row[i] != v:
+                break
+        else:
+            yield word
         more = _next_permutation(word)
 
 
@@ -111,10 +111,12 @@ def oracle_find(
     """First enumerated tree living entirely inside g, or None.
 
     The walk is exhaustive, so None is a proof that no spanning tree of g
-    has this degree vector.  Refuses oversized enumerations outright.
+    has this degree vector.  Refuses oversized enumerations outright, and
+    decodes the first contained word once more, into the tree it returns.
     """
-    edges = next(_contained_trees(g, seq, budget), None)
-    return None if edges is None else LabelledTree.from_edges(seq.n, edges)
+    for word in _contained_trees(g, seq, budget):
+        return LabelledTree.from_edges(seq.n, prufer_edges(word, seq.degrees))
+    return None
 
 
 def oracle_count(g: LabelledGraph, seq: DegreeSequence, budget: int = DEFAULT_BUDGET) -> int:

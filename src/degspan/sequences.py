@@ -7,7 +7,7 @@ word, and decoding follows the smallest-leaf-first rule.
 """
 
 import random
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Any, NamedTuple
 
 from .graph import MAX_N, Edge, bounded_int
@@ -118,44 +118,29 @@ def canonical_word(seq: DegreeSequence) -> tuple[int, ...]:
     return tuple(word)
 
 
-def prufer_edges(
-    word: Sequence[int], n: int, keep: Callable[[int, int], bool]
-) -> list[Edge] | None:
-    """Edges of the tree coded by ``word``, or None at the first edge ``keep`` rejects.
+def prufer_edges(word: Sequence[int], degrees: Sequence[int]) -> Iterator[Edge]:
+    """Edges of the tree coded by ``word``, each formed only when asked for.
 
-    Decoding joins the smallest current leaf to each word entry in turn
-    and finally joins the last leaf to n - 1; vertex v ends with degree
-    1 + multiplicity of v in the word.  Each edge ``(leaf, w)`` hangs the
-    leaf from w in the tree rooted at n - 1: every vertex but n - 1 is a
-    leaf exactly once.  ``keep`` sees each edge in that decoding order,
-    before the next is formed.  Entries must lie in [0, n) and the word
-    must have length n - 2.
+    ``degrees`` is the tree's degree vector on n = len(degrees) vertices,
+    and ``word``, unchecked, holds each v exactly degrees[v] - 1 times.
+    Decoding joins the smallest current leaf to each word entry in turn,
+    then the last leaf to n - 1.  Each edge ``(leaf, w)`` hangs the leaf
+    from w in the tree rooted at n - 1, in which every vertex but n - 1 is
+    a leaf exactly once.  A caller that stops early forms no later edge.
 
     Linear time, with no heap: ``nxt`` only moves up, because a vertex
     that becomes a leaf below it is used at once as the next leaf.
     """
-    degree = [1] * n
-    for w in word:
-        degree[w] += 1
+    degree = list(degrees)
     leaf = nxt = degree.index(1)
-    edges: list[Edge] = []
     for w in word:
-        if not keep(leaf, w):
-            return None
-        edges.append((leaf, w))
+        yield leaf, w
         degree[w] -= 1
         if degree[w] == 1 and w < nxt:
             leaf = w
         else:
             leaf = nxt = degree.index(1, nxt + 1)
-    if not keep(leaf, n - 1):
-        return None
-    edges.append((leaf, n - 1))
-    return edges
-
-
-def _accept_all(u: int, v: int) -> bool:
-    return True
+    yield leaf, len(degree) - 1
 
 
 def prufer_decode(word: Sequence[int], n: int) -> LabelledTree:
@@ -179,7 +164,10 @@ def prufer_decode(word: Sequence[int], n: int) -> LabelledTree:
             raise ValueError(f"word entry {x!r} at position {i} is not an integer")
         if not (0 <= w < n):
             raise ValueError(f"word entry {w} out of range [0, {n})")
-    return LabelledTree.from_edges(n, prufer_edges(ws, n, _accept_all))
+    degrees = [1] * n
+    for w in ws:
+        degrees[w] += 1
+    return LabelledTree.from_edges(n, prufer_edges(ws, degrees))
 
 
 def realize_tree(seq: DegreeSequence) -> LabelledTree:
@@ -188,7 +176,7 @@ def realize_tree(seq: DegreeSequence) -> LabelledTree:
     Decodes the canonical ascending word, so repeated runs on the same
     sequence always start from the same tree.
     """
-    return prufer_decode(canonical_word(seq), seq.n)
+    return LabelledTree.from_edges(seq.n, prufer_edges(canonical_word(seq), seq.degrees))
 
 
 def random_degree_sequence(n: int, r: int, rng: random.Random) -> DegreeSequence:

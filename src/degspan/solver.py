@@ -41,7 +41,7 @@ from typing import Any, NamedTuple
 
 from .condition import degree_sum_threshold
 from .graph import Edge, LabelledGraph, _row_has, normalized_edge
-from .sequences import DegreeSequence, _accept_all, canonical_word, prufer_edges
+from .sequences import DegreeSequence, canonical_word, prufer_edges
 from .sequences import realize_tree  # noqa: F401 -- unused, but bench/tracing.py wraps it here
 from .tree import LabelledTree, tree_defect
 
@@ -567,7 +567,7 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
     adj: list[list[int]] = [[] for _ in range(g.n)]
     parent = list(range(g.n))
     missing: list[Edge] = []
-    for a, b in prufer_edges(canonical_word(seq), g.n, _accept_all):
+    for a, b in prufer_edges(canonical_word(seq), seq.degrees):
         adj[a].append(b)
         adj[b].append(a)
         parent[a] = b

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from hypothesis import strategies as st
 
@@ -76,14 +76,11 @@ def low_degree_sequence(g: LabelledGraph, r: int, rng: random.Random) -> DegreeS
     return validate_degree_sequence(degrees)
 
 
-def reference_prufer_edges(
-    word: Sequence[int], n: int, keep: Callable[[int, int], bool]
-) -> list[tuple[int, int]] | None:
-    """Reference heap decoder with ``prufer_edges``'s contract.
+def reference_prufer_edges(word: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """Reference heap decoder, in ``prufer_edges``'s edge order.
 
     Pops the smallest current leaf from a heap for each entry, then joins
-    the last two leaves; ``keep`` sees each edge in that order, and the
-    first edge it rejects returns None.
+    the last two leaves.
     """
     degree = [1] * n
     for w in word:
@@ -93,16 +90,12 @@ def reference_prufer_edges(
     edges: list[tuple[int, int]] = []
     for w in word:
         leaf = heapq.heappop(leaves)
-        if not keep(leaf, w):
-            return None
         edges.append((leaf, w))
         degree[w] -= 1
         if degree[w] == 1:
             heapq.heappush(leaves, w)
     a = heapq.heappop(leaves)
     b = heapq.heappop(leaves)
-    if not keep(a, b):
-        return None
     edges.append((a, b))
     return edges
 

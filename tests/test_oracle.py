@@ -38,7 +38,7 @@ def degree_trees(seq):
     """
     words = sorted(set(itertools.permutations(canonical_word(seq))))
     return [
-        LabelledTree.from_edges(seq.n, reference_prufer_edges(word, seq.n, lambda u, v: True))
+        LabelledTree.from_edges(seq.n, reference_prufer_edges(word, seq.n))
         for word in words
     ]
 
@@ -242,3 +242,42 @@ class TestOracleHotPath:
         for g, seq, contained in cases:
             assert oracle_count(g, seq) == len(contained)
             assert oracle_find(g, seq) == (contained[0] if contained else None)
+
+
+class TestOracleStopsAtFirstMissingEdge:
+    @staticmethod
+    def expected_pulls(g, seq):
+        """Edges decoded when each word stops at its first missing edge, from the heap reference."""
+        total = 0
+        for word in sorted(set(itertools.permutations(canonical_word(seq)))):
+            edges = reference_prufer_edges(word, seq.n)
+            missing = (i for i, e in enumerate(edges) if not g.are_adjacent(*e))
+            total += next(missing, seq.n - 2) + 1
+        return total
+
+    @staticmethod
+    def cases():
+        yield LabelledGraph.from_edges(6, []), validate_degree_sequence([2, 2, 2, 2, 1, 1])
+        yield build_extremal(1, 3)
+        yield build_extremal(2, 3)
+        rng = random.Random(25)
+        for n in (6, 7, 8):
+            pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.8]
+            yield LabelledGraph.from_edges(n, pairs), random_degree_sequence(n, 3, rng)
+
+    def test_edges_pulled_per_word(self, monkeypatch):
+        decode = degspan.oracle.prufer_edges
+        pulled = [0]
+
+        def counting(word, degrees):
+            for e in decode(word, degrees):
+                pulled[0] += 1
+                yield e
+
+        monkeypatch.setattr(degspan.oracle, "prufer_edges", counting)
+        for g, seq in self.cases():
+            pulled[0] = 0
+            oracle_count(g, seq)
+            assert pulled[0] == self.expected_pulls(g, seq)
+            # each case has a word that is not contained, so whole-word decoding pulls more
+            assert pulled[0] < count_trees(seq) * (seq.n - 1)

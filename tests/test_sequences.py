@@ -5,7 +5,6 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from degspan import (
     LabelledTree,
@@ -18,7 +17,7 @@ from degspan import (
     validate_degree_sequence,
 )
 from degspan.graph import MAX_N
-from degspan.sequences import _accept_all, prufer_edges
+from degspan.sequences import prufer_edges
 from degspan.tree import tree_defect
 from support import degree_sequences, prufer_encode, prufer_words, reference_prufer_edges
 
@@ -228,15 +227,12 @@ class TestDecode:
             prufer_decode([0], n)
 
 
-def _rejecting_at(stop):
-    """A ``keep`` that records its calls and rejects the call numbered ``stop``."""
-    calls = []
-
-    def keep(u, v):
-        calls.append((u, v))
-        return len(calls) <= stop
-
-    return calls, keep
+def word_degrees(word, n):
+    """Degree vector of the tree that ``word`` codes on n vertices."""
+    degrees = [1] * n
+    for w in word:
+        degrees[w] += 1
+    return degrees
 
 
 class TestDecoderReference:
@@ -245,26 +241,14 @@ class TestDecoderReference:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_every_word(self, n):
         for word in itertools.product(range(n), repeat=n - 2):
-            got = prufer_edges(word, n, _accept_all)
-            assert got == reference_prufer_edges(word, n, _accept_all), word
+            got = list(prufer_edges(word, word_degrees(word, n)))
+            assert got == reference_prufer_edges(word, n), word
 
     @settings(deadline=None)
     @given(prufer_words(max_n=300))
     def test_drawn_words(self, case):
         n, word = case
-        assert prufer_edges(word, n, _accept_all) == reference_prufer_edges(word, n, _accept_all)
-
-    @settings(deadline=None)
-    @given(prufer_words(max_n=300), st.data())
-    def test_rejection_at_a_drawn_call(self, case, data):
-        n, word = case
-        stop = data.draw(st.integers(0, n - 2), label="stop")
-        calls, keep = _rejecting_at(stop)
-        ref_calls, ref_keep = _rejecting_at(stop)
-        assert prufer_edges(word, n, keep) is None
-        assert reference_prufer_edges(word, n, ref_keep) is None
-        assert calls == ref_calls
-        assert len(calls) == stop + 1
+        assert list(prufer_edges(word, word_degrees(word, n))) == reference_prufer_edges(word, n)
 
 
 class TestEncode:

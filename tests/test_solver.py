@@ -299,7 +299,7 @@ class TestFindSpanningTree:
     def test_disconnected_split_raises_invariant_error(self, monkeypatch):
         # The right degrees on a triangle plus a separate edge, not a tree.
         fake = [(0, 1), (1, 2), (0, 2), (3, 4)]
-        monkeypatch.setattr(degspan.solver, "prufer_edges", lambda word, n, keep: fake)
+        monkeypatch.setattr(degspan.solver, "prufer_edges", lambda word, degrees: fake)
         with pytest.raises(SolverInvariantError, match="kept orientation does not span the tree"):
             find_spanning_tree(cycle_graph(5), validate_degree_sequence([2, 2, 2, 1, 1]))
 
