@@ -35,8 +35,9 @@ class ConditionReport(NamedTuple):
 def degree_sum_threshold(n: int, r: int) -> Fraction:
     """Exact bound ((2r-3)n - (2r-5)) / (r-1).
 
-    r = 2 gives n + 1, which no non-complete graph can reach (degree sums
-    cap at 2(n-2)); the formula is still evaluated honestly.
+    r = 2 gives n + 1.  A non-adjacent pair's degree sum is at most
+    2(n-2), so a non-complete graph can reach it from n = 5 on: K6 minus
+    one edge has sum 8 >= 7.
     """
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")

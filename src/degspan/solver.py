@@ -31,9 +31,10 @@ hook or bridge set or a record; only a stall builds those sets and a
 CutAnalysis, for the witness.  One search (``_split``) checks the kept
 orientation, at a stall or once a found tree took an exchange, and its
 RootedForest is the split that a stall's witness counts.
-``orient_forest``, ``compute_cut_sets`` and ``apply_exchange`` take the
-same steps on LabelledTree values, and ``validate_witness`` rebuilds a
-witness with them and compares.
+``orient_forest`` and ``apply_exchange`` take the loop's steps on
+LabelledTree values, ``compute_cut_sets`` returns the sets a witness
+counts, and ``validate_witness`` rebuilds a witness with them and
+compares; only the loop chooses an exchange.
 """
 
 from collections.abc import Collection, Sequence
@@ -118,6 +119,7 @@ class CutAnalysis(NamedTuple):
     in that component with uy a graph edge; ``bridges_u`` are vertices of
     that component graph-adjacent to v, so v has len(bridges_u) neighbours
     on u's side.  ``u_nbrs_same`` counts u's neighbours on its own side.
+    The split stalls iff each side's hooks and bridges are disjoint.
     """
 
     hooks_u: frozenset[int]
@@ -126,7 +128,6 @@ class CutAnalysis(NamedTuple):
     bridges_v: frozenset[int]
     u_nbrs_same: int
     v_nbrs_same: int
-    candidate: Exchange | None
 
 
 class Inequality(NamedTuple):
@@ -310,12 +311,12 @@ def _exchange(
     """The exchange on the side of a split rooted at ``near``, or None.
 
     The side holds the vertices x with ``(label[x] == tag) == inside``,
-    ``parent`` orients it toward ``near`` (the roots' own entries are read
-    only when near-far is a graph edge) and ``adj[w]`` lists at least the
-    children of w.  Walks the far root's graph row in ascending order,
-    skipping vertices off the side, and stops at the first w that is also a
-    hook: a parent of some y that ``near`` could adopt (near-y a graph
-    edge).  The exchange drops (w, y) for the smallest such y.
+    and ``parent`` orients it toward ``near`` (the roots' own entries are
+    read only when near-far is a graph edge).  Walks the far root's graph
+    row in ascending order, skipping vertices off the side, and stops at
+    the first w that is also a hook: a parent of some y in ``adj[w]`` that
+    ``near`` could adopt (near-y a graph edge).  The exchange drops (w, y)
+    for the smallest such y.  Only the exchange loop calls it.
     """
     near_row = g.adjacency[near]
     for w in g.adjacency[far]:
@@ -332,37 +333,19 @@ def _exchange(
 
 
 def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
-    """Hook/bridge sets of the split plus the first applicable exchange.
+    """The hook, bridge and same-side sets a witness counts at the split ``f``.
 
-    The split ``f`` is cut at (u, v) = (f.side_u[0], f.side_v[0]).  The
-    sets come from ``_select`` and the candidate from ``_exchange``, the u
-    side's exchange when it has one.  The roots themselves can be hooks,
-    but never bridges while (u, v) is missing from the graph.
+    The split is cut at (u, v) = (f.side_u[0], f.side_v[0]), and each
+    side's sets come from ``_select``; no exchange is chosen here.  The
+    roots themselves can be hooks, but never bridges while (u, v) is
+    missing from the graph.
     """
     u, v = f.side_u[0], f.side_v[0]
     if not g.are_adjacent(u, v) and (u in g.adjacency[v] or v in g.adjacency[u]):
         raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
-    parent = f.parent
-    label = [0] * len(parent)
-    for x in f.side_v:
-        label[x] = 1
-    # the tree's adjacency is not at hand, so w's children come from parent
-    children: list[list[int]] = [[] for _ in parent]
-    for x, p in enumerate(parent):
-        if p != x:
-            children[p].append(x)
-    hooks_u, bridges_u, same_u = _select(g, u, v, f.side_u, parent)
-    hooks_v, bridges_v, same_v = _select(g, v, u, f.side_v, parent)
-    return CutAnalysis(
-        hooks_u=hooks_u,
-        bridges_u=bridges_u,
-        hooks_v=hooks_v,
-        bridges_v=bridges_v,
-        u_nbrs_same=len(same_u),
-        v_nbrs_same=len(same_v),
-        candidate=(_exchange(g, "u", u, v, label, 1, False, parent, children)
-                   or _exchange(g, "v", v, u, label, 1, True, parent, children)),
-    )
+    hooks_u, bridges_u, same_u = _select(g, u, v, f.side_u, f.parent)
+    hooks_v, bridges_v, same_v = _select(g, v, u, f.side_v, f.parent)
+    return CutAnalysis(hooks_u, bridges_u, hooks_v, bridges_v, len(same_u), len(same_v))
 
 
 def _rewire(adj: list[list[int]], x: Exchange) -> None:
@@ -475,11 +458,12 @@ def build_witness(
 ) -> InfeasibilityWitness:
     """Assemble the counting record for a split with no exchange.
 
-    Requires a stalled analysis (no candidate).  The pair is the split's
-    roots and the sizes its side lengths.  ``r`` must dominate the tree's
-    degree vector so the per-vertex child counts stay below r.
+    Requires a stall: raises ValueError when a side's hooks meet its
+    bridges.  The pair is the split's roots and the sizes its side
+    lengths.  ``r`` must dominate the tree's degree vector so the
+    per-vertex child counts stay below r.
     """
-    if c.candidate is not None:
+    if c.hooks_u & c.bridges_u or c.hooks_v & c.bridges_v:
         raise ValueError("an exchange is available; nothing to witness")
     u, v = f.side_u[0], f.side_v[0]
     size_u, size_v = len(f.side_u), len(f.side_v)
@@ -514,22 +498,22 @@ def validate_witness(g: LabelledGraph, w: InfeasibilityWitness) -> bool:
     Returns True only if the tree is a spanning tree on g's vertices,
     (u, v) with u < v is a tree edge, the graph rows of u and v mirror
     (each entry is in range and lists that root back), (u, v) is missing
-    from g and its split stalls, ``build_witness`` makes ``w`` of that
-    split in every field, and each inequality of the chain holds.
+    from g, ``build_witness`` takes the split as a stall (its hooks and
+    bridges disjoint on each side, so no exchange is walked here) and
+    makes ``w`` of it in every field, and each inequality of the chain
+    holds.
     """
     if w.tree.n != g.n or w.r < 2 or w.u >= w.v or tree_defect(w.tree) is not None:
         return False
+    rows = g.adjacency
     try:
         f = orient_forest(w.tree, w.u, w.v)
+        if not all(0 <= x < g.n and _row_has(rows[x], z) for z in (w.u, w.v) for x in rows[z]):
+            return False
+        rebuilt = build_witness(g, w.tree, f, compute_cut_sets(g, f), w.r)
     except ValueError:
         return False
-    rows = g.adjacency
-    if not all(0 <= x < g.n and _row_has(rows[x], z) for z in (w.u, w.v) for x in rows[z]):
-        return False
-    c = compute_cut_sets(g, f)
-    if g.are_adjacent(w.u, w.v) or c.candidate is not None:
-        return False
-    return build_witness(g, w.tree, f, c, w.r) == w and all(i.holds for i in w.chain)
+    return not g.are_adjacent(w.u, w.v) and rebuilt == w and all(i.holds for i in w.chain)
 
 
 def _reroot(parent: list[int], x: int) -> None:

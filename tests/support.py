@@ -125,12 +125,7 @@ def prufer_encode(tree: LabelledTree) -> tuple[int, ...]:
 
 
 def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
-    """Reference hook/bridge sets of a split, one comprehension per set.
-
-    Scans the u side before the v side, and within a side picks the
-    smallest hook-and-bridge vertex w, then the smallest of its children
-    adoptable by the near root.
-    """
+    """Reference hook/bridge sets of a split, one comprehension per set."""
     u, v = f.side_u[0], f.side_v[0]
     on_u, on_v, parent = set(f.side_u), set(f.side_v), f.parent
     u_same = [y for y in g.adjacency[u] if y in on_u]
@@ -141,19 +136,6 @@ def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
     bridges_v = frozenset([x for x in g.adjacency[u] if x in on_v])
     if not g.are_adjacent(u, v) and (u in bridges_u or v in bridges_v):
         raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
-    candidate: Exchange | None = None
-    for side, near, far, same, hooks, bridges in (
-        ("u", u, v, u_same, hooks_u, bridges_u),
-        ("v", v, u, v_same, hooks_v, bridges_v),
-    ):
-        both = hooks & bridges
-        if both:
-            w = min(both)
-            y = min(y for y in same if parent[y] == w)
-            candidate = Exchange(
-                side=side, drop_foreign=(u, v), drop_tree=(w, y), add_1=(near, y), add_2=(far, w)
-            )
-            break
     return CutAnalysis(
         hooks_u=hooks_u,
         bridges_u=bridges_u,
@@ -161,8 +143,31 @@ def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
         bridges_v=bridges_v,
         u_nbrs_same=len(u_same),
         v_nbrs_same=len(v_same),
-        candidate=candidate,
     )
+
+
+def reference_exchange(g: LabelledGraph, f: RootedForest, sides: str = "uv") -> Exchange | None:
+    """Reference exchange rule at a split, from the reference sets; None at a stall.
+
+    Scans ``sides`` in order ("u" before "v" by default, or one side
+    alone), and on the first side whose hooks meet its bridges picks the
+    smallest such w, then the smallest of its children adoptable by the
+    near root.
+    """
+    c = compute_cut_sets(g, f)
+    u, v = f.side_u[0], f.side_v[0]
+    for side in sides:
+        if side == "u":
+            near, far, both = u, v, c.hooks_u & c.bridges_u
+        else:
+            near, far, both = v, u, c.hooks_v & c.bridges_v
+        if both:
+            w = min(both)
+            y = min(y for y in g.adjacency[near] if f.parent[y] == w)
+            return Exchange(
+                side=side, drop_foreign=(u, v), drop_tree=(w, y), add_1=(near, y), add_2=(far, w)
+            )
+    return None
 
 
 def reference_find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
@@ -170,19 +175,20 @@ def reference_find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> Solve
 
     Starts from ``realize_tree``, the tree the solver decodes, and for the
     smallest missing edge orients the tree afresh (``orient_forest``, one
-    ``_split``), takes the reference rule's candidate and applies it, until
-    no edge is missing or the rule stalls.
+    ``_split``), takes ``reference_exchange`` and applies it, until no
+    edge is missing or the rule stalls.
     """
     r = max(2, seq.max_degree)
     t = realize_tree(seq)
     steps: list[ExchangeStep] = []
     while missing := foreign_edges(g, t):
         f = orient_forest(t, *missing[0])
-        c = compute_cut_sets(g, f)
-        if c.candidate is None:
-            return SolveResult(tree=None, witness=build_witness(g, t, f, c, r), steps=tuple(steps))
-        t = apply_exchange(t, c.candidate)
-        steps.append(ExchangeStep(exchange=c.candidate, phi_after=len(foreign_edges(g, t))))
+        x = reference_exchange(g, f)
+        if x is None:
+            witness = build_witness(g, t, f, compute_cut_sets(g, f), r)
+            return SolveResult(tree=None, witness=witness, steps=tuple(steps))
+        t = apply_exchange(t, x)
+        steps.append(ExchangeStep(exchange=x, phi_after=len(foreign_edges(g, t))))
     return SolveResult(tree=t, witness=None, steps=tuple(steps))
 
 

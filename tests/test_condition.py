@@ -11,7 +11,10 @@ from degspan import (
     degree_sum_threshold,
     extremal_order,
     extremal_worst_sum,
+    find_spanning_tree,
     min_nonadjacent_degree_sum,
+    validate_degree_sequence,
+    verify_tree,
 )
 from support import complete_graph, graphs, path_graph
 
@@ -68,6 +71,19 @@ class TestCheckCondition:
         report = check_condition(path_graph(5), 2)
         assert not report.satisfied
         assert check_condition(complete_graph(5), 2).satisfied
+
+    def test_r2_bound_is_met_by_a_non_complete_graph_from_n5(self):
+        # a non-adjacent pair sums to at most 2(n - 2), which reaches n + 1 at n = 5
+        k6_minus = LabelledGraph.from_edges(
+            6, ((u, v) for u in range(6) for v in range(u + 1, 6) if (u, v) != (0, 1))
+        )
+        report = check_condition(k6_minus, 2)
+        assert report.satisfied
+        assert report.worst_pair == (0, 1, 8) and report.threshold == 7
+        seq = validate_degree_sequence([2, 2, 2, 2, 1, 1])
+        res = find_spanning_tree(k6_minus, seq)
+        assert res.ok and len(res.steps) == 1
+        assert verify_tree(k6_minus, res.tree, seq)
 
     @given(graphs(min_n=4, max_n=8))
     def test_monotone_under_edge_addition(self, g):

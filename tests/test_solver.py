@@ -51,9 +51,10 @@ from support import (
     matchings,
     path_graph,
     prufer_words,
+    reference_exchange,
     reference_find_spanning_tree,
 )
-from support import compute_cut_sets as reference_cut_sets  # the comprehension-based rule
+from support import compute_cut_sets as reference_cut_sets  # the comprehension-based sets
 
 
 class TestOrientForest:
@@ -104,7 +105,8 @@ class TestOrientForest:
         f = orient_forest(t, 3, 0)
         assert f == orient_forest(t, 0, 3)
         assert sorted(f.side_u) == [0, 1, 2] and f.side_v == (3,)
-        assert compute_cut_sets(g, f).candidate is not None
+        c = compute_cut_sets(g, f)
+        assert c.hooks_u & c.bridges_u
 
     def test_parents_walk_to_roots(self):
         seq = validate_degree_sequence([2, 3, 2, 2, 1, 1, 2, 2, 1])
@@ -155,7 +157,7 @@ class TestComputeCutSets:
         c = compute_cut_sets(g, f)
         assert c.hooks_u & c.bridges_u == frozenset()
         assert c.hooks_v & c.bridges_v == frozenset()
-        assert c.candidate is None
+        assert build_witness(g, t, f, c, 3) == find_spanning_tree(g, seq).witness
         assert c.hooks_u == frozenset({0})
         assert c.bridges_u == frozenset({2, 3})
 
@@ -164,10 +166,10 @@ class TestComputeCutSets:
         # is both hook and bridge, so drop (1,2), add (0,2) and (3,1).
         g = LabelledGraph.from_edges(4, [(0, 2), (1, 3), (0, 1), (1, 2)])
         t = LabelledTree.from_edges(4, [(0, 1), (1, 2), (0, 3)])
-        f = orient_forest(t, 0, 3)
+        f, walks = _walks(g, t, 0, 3)
         c = compute_cut_sets(g, f)
         assert 1 in c.hooks_u & c.bridges_u
-        x = c.candidate
+        x = walks["u"]
         assert x is not None
         assert x.side == "u"
         assert x.drop_tree == (1, 2)
@@ -199,8 +201,7 @@ class TestApplyExchange:
     def test_rewire_preserves_degrees(self):
         g = LabelledGraph.from_edges(4, [(0, 2), (1, 3), (0, 1), (1, 2)])
         t = LabelledTree.from_edges(4, [(0, 1), (1, 2), (0, 3)])
-        c = compute_cut_sets(g, orient_forest(t, 0, 3))
-        t2 = apply_exchange(t, c.candidate)
+        t2 = apply_exchange(t, reference_exchange(g, orient_forest(t, 0, 3)))
         assert t2.edges == ((0, 1), (0, 2), (1, 3))
         assert t2.degree_vector() == t.degree_vector()
         assert tree_defect(t2) is None
@@ -209,26 +210,25 @@ class TestApplyExchange:
         g = LabelledGraph.from_edges(4, [(0, 2), (1, 3), (0, 1), (1, 2)])
         t = LabelledTree.from_edges(4, [(0, 1), (1, 2), (0, 3)])
         assert len(foreign_edges(g, t)) == 1
-        c = compute_cut_sets(g, orient_forest(t, 0, 3))
-        t2 = apply_exchange(t, c.candidate)
+        t2 = apply_exchange(t, reference_exchange(g, orient_forest(t, 0, 3)))
         assert len(foreign_edges(g, t2)) == 0
 
     def test_phi_drops_by_two_when_dropped_edge_is_missing_too(self):
         g = LabelledGraph.from_edges(4, [(0, 2), (1, 3)])
         t = LabelledTree.from_edges(4, [(0, 1), (1, 2), (0, 3)])
         assert len(foreign_edges(g, t)) == 3
-        c = compute_cut_sets(g, orient_forest(t, 0, 3))
-        assert c.candidate.drop_tree == (1, 2)
-        t2 = apply_exchange(t, c.candidate)
+        x = reference_exchange(g, orient_forest(t, 0, 3))
+        assert x.drop_tree == (1, 2)
+        t2 = apply_exchange(t, x)
         assert len(foreign_edges(g, t2)) == 1
 
     def test_stale_exchange_is_an_internal_error(self):
         g = LabelledGraph.from_edges(4, [(0, 2), (1, 3), (0, 1), (1, 2)])
         t = LabelledTree.from_edges(4, [(0, 1), (1, 2), (0, 3)])
-        c = compute_cut_sets(g, orient_forest(t, 0, 3))
-        t2 = apply_exchange(t, c.candidate)
+        x = reference_exchange(g, orient_forest(t, 0, 3))
+        t2 = apply_exchange(t, x)
         with pytest.raises(SolverInvariantError):
-            apply_exchange(t2, c.candidate)
+            apply_exchange(t2, x)
 
     def test_exchange_naming_vertex_n_is_an_internal_error(self):
         t = LabelledTree.from_edges(4, [(0, 1), (1, 2), (0, 3)])
@@ -340,6 +340,18 @@ class TestFindSpanningTree:
 
         monkeypatch.setattr(degspan.solver, "orient_forest", fail)
         assert find_spanning_tree(g, seq).witness == expected
+
+    def test_stall_walks_each_side_once_and_its_validation_walks_none(self, monkeypatch):
+        exchange = degspan.solver._exchange
+        calls = []
+        monkeypatch.setattr(degspan.solver, "_exchange",
+                            lambda *args: calls.append(args[1]) or exchange(*args))
+        g, seq = build_extremal(1, 3)
+        w = find_spanning_tree(g, seq).witness
+        assert calls == ["u", "v"]
+        calls.clear()
+        assert validate_witness(g, w)
+        assert calls == []
 
     def test_two_vertices(self):
         seq = validate_degree_sequence([1, 1])
@@ -462,21 +474,28 @@ class TestCutSetsReference:
     @settings(max_examples=150, deadline=None)
     def test_cut_sets_match_the_reference_at_every_tree_edge(self, case):
         g, seq = case
-        t = realize_tree(seq)
+        t, r = realize_tree(seq), max(2, seq.max_degree)
         for u, v in t.edges:
             f = orient_forest(t, u, v)
-            assert compute_cut_sets(g, f) == reference_cut_sets(g, f)
+            c = compute_cut_sets(g, f)
+            assert c == reference_cut_sets(g, f)
+            # build_witness refuses exactly the splits that have an exchange
+            if reference_exchange(g, f) is None:
+                build_witness(g, t, f, c, r)
+            else:
+                with pytest.raises(ValueError, match="an exchange is available; nothing to witness"):
+                    build_witness(g, t, f, c, r)
 
     def test_loop_takes_the_reference_candidate(self):
         for g, seq, t, step in _exchange_states():
             f = orient_forest(t, *foreign_edges(g, t)[0])
-            c = reference_cut_sets(g, f)
+            x = reference_exchange(g, f)
             if step is None:
-                assert c.candidate is None
+                assert x is None
                 w = find_spanning_tree(g, seq).witness
-                assert build_witness(g, t, f, c, max(2, seq.max_degree)) == w
+                assert build_witness(g, t, f, reference_cut_sets(g, f), max(2, seq.max_degree)) == w
             else:
-                assert c.candidate == step.exchange
+                assert x == step.exchange
 
     def test_solve_without_a_stall_builds_no_records(self, monkeypatch):
         def fail(*args):
@@ -489,53 +508,24 @@ class TestCutSetsReference:
         assert res.ok and len(res.steps) == 26
 
 
-def _reference_exchange(g, f, side):
-    """The reference rule on one side alone: the smallest hook-and-bridge w, its smallest y."""
-    c = reference_cut_sets(g, f)
-    u, v = f.side_u[0], f.side_v[0]
-    if side == "u":
-        near, far, both = u, v, c.hooks_u & c.bridges_u
-    else:
-        near, far, both = v, u, c.hooks_v & c.bridges_v
-    if not both:
-        return None
-    w = min(both)
-    y = min(y for y in g.adjacency[near] if f.parent[y] == w)
-    return Exchange(side=side, drop_foreign=(u, v), drop_tree=(w, y),
-                    add_1=(near, y), add_2=(far, w))
-
-
 def _walks(g, t, u, v):
-    """``_exchange`` on both sides of tree edge (u, v), called as the loop and compute_cut_sets do.
+    """``_exchange`` on both sides of tree edge (u, v), called as the loop calls it.
 
     The loop passes its list adjacency, which exchanges leave unsorted (here
     reversed), stamps on one side and parents in which each root is its own
     parent (the loop's kept parents hang the child end from the parent end,
-    which the walk reads only when (u, v) is a graph edge);
-    compute_cut_sets passes labels set from ``side_v``, child lists and the
-    split's parent tuple.
+    which the walk reads only when (u, v) is a graph edge).
     """
-    f = orient_forest(t, u, v)
     adj = [a[::-1] for a in map(list, t.adjacency)]
     _, side_v, loop_parent = degspan.solver._split(adj, u, v)
     stamp = [0] * t.n
     for x in side_v:
         stamp[x] = 5
-    label = [0] * t.n
-    for x in f.side_v:
-        label[x] = 1
-    children = [[] for _ in range(t.n)]
-    for x, p in enumerate(f.parent):
-        if p != x:
-            children[p].append(x)
-    walks = {}
-    for side, near, far, inside in (("u", u, v, False), ("v", v, u, True)):
-        in_loop = degspan.solver._exchange(g, side, near, far, stamp, 5, inside, loop_parent, adj)
-        in_cut_sets = degspan.solver._exchange(g, side, near, far, label, 1, inside,
-                                               f.parent, children)
-        assert in_loop == in_cut_sets
-        walks[side] = in_loop
-    return f, walks
+    walks = {
+        side: degspan.solver._exchange(g, side, near, far, stamp, 5, inside, loop_parent, adj)
+        for side, near, far, inside in (("u", u, v, False), ("v", v, u, True))
+    }
+    return orient_forest(t, u, v), walks
 
 
 class TestExchangeWalk:
@@ -544,8 +534,8 @@ class TestExchangeWalk:
     def _check(self, g, t, u, v):
         f, walks = _walks(g, t, u, v)
         for side in "uv":
-            assert walks[side] == _reference_exchange(g, f, side)
-        assert (walks["u"] or walks["v"]) == reference_cut_sets(g, f).candidate
+            assert walks[side] == reference_exchange(g, f, side)
+        assert (walks["u"] or walks["v"]) == reference_exchange(g, f)
 
     @given(graph_with_sequence(min_n=2, max_n=9))
     @settings(max_examples=150, deadline=None)
@@ -568,8 +558,7 @@ def _checked_exchange(monkeypatch):
     """Wrap ``_exchange`` to check what it is handed against a fresh ``_split``; returns its calls.
 
     The side and its parents, roots aside, must be those of a whole-tree
-    search from both ends of the missing edge, also for compute_cut_sets'
-    calls, whose child lists a search walks as it walks the loop's adjacency.
+    search from both ends of the missing edge.
     """
     exchange, split = degspan.solver._exchange, degspan.solver._split
     calls = []
@@ -740,7 +729,7 @@ class TestWitness:
         t = LabelledTree.from_edges(4, [(0, 1), (1, 2), (0, 3)])
         f = orient_forest(t, 0, 3)
         c = compute_cut_sets(g, f)
-        assert c.candidate is not None
+        assert c.hooks_u & c.bridges_u
         with pytest.raises(ValueError):
             build_witness(g, t, f, c, r=2)
 
@@ -820,7 +809,7 @@ class TestWitness:
         assert not validate_witness(LabelledGraph.from_edges(10, (*g.edges, (1, 2))), w)
         # with (0, 2) in the graph the split at (1, 2) has an exchange
         g02 = LabelledGraph.from_edges(10, (*g.edges, (0, 2)))
-        assert compute_cut_sets(g02, orient_forest(w.tree, 1, 2)).candidate is not None
+        assert reference_exchange(g02, orient_forest(w.tree, 1, 2)) is not None
         assert not validate_witness(g02, w)
 
     @settings(deadline=None)
