@@ -67,11 +67,15 @@ class LabelledGraph(NamedTuple):
     ``adjacency`` holds one ascending neighbor tuple per vertex and is the
     only stored form: ``n`` is its row count, ``edges`` is derived from it,
     adjacency tests bisect, and every iteration order is deterministic.
-    ``LabelledGraph(rows)`` trusts its rows; ``from_edges`` and
-    ``parse_graph`` build rows that mirror each other.  Rows that do not
-    mirror can reach the solver's root-bridge guards, which raise
+    ``LabelledGraph(rows)`` trusts its rows to ascend and to mirror each
+    other; ``from_edges`` and ``parse_graph`` build such rows.  Rows that
+    do not mirror can reach the solver's root-bridge guards, which raise
     SolverInvariantError; ``verify_tree`` takes a tree edge only when both
-    rows list it, and ``validate_witness`` checks its roots' rows.
+    rows list it, and ``validate_witness`` checks its roots' rows.  A row
+    that does not ascend misleads every bisection, with no error of its
+    own: ``find_spanning_tree`` can raise ValueError ("an exchange is
+    available; nothing to witness") and ``check_condition`` can report an
+    edge as its worst non-adjacent pair.
     """
 
     adjacency: tuple[tuple[int, ...], ...]

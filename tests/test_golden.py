@@ -1,8 +1,11 @@
 """Golden CLI outputs: stdout byte for byte and the exit code of every case.
 
-Each case runs in both ``--format text`` and ``--format json``.  Stderr
-embeds file paths, so for input errors only its ``error:`` prefix is
-checked; every other case must leave stderr empty.
+Each case runs in both ``--format text`` and ``--format json``, and
+through two entry points: ``main`` in process, and a fresh
+``python -m degspan.cli`` that imports the same degspan and passes on
+``-O`` when the tests run under ``python -O -m pytest``.  Both must pass
+the same checks.  Stderr embeds file paths, so for input errors only its
+``error:`` prefix is checked; every other case must leave stderr empty.
 
 The files under ``tests/golden/`` pin the CLI's behaviour, so a refactor
 must pass them unchanged.  Re-record them (``python tests/test_golden.py``
@@ -14,10 +17,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import degspan
 from degspan.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -80,22 +87,37 @@ CASES: dict[str, list[str]] = {
 }
 
 
+def argv(name: str, fmt: str) -> list[str]:
+    return [arg.format(inputs=INPUTS) for arg in CASES[name]] + ["--format", fmt]
+
+
 def run(name: str, fmt: str) -> tuple[int, str, str]:
-    argv = [arg.format(inputs=INPUTS) for arg in CASES[name]] + ["--format", fmt]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = main(argv(name, fmt))
     return code, out.getvalue(), err.getvalue()
+
+
+def run_module(name: str, fmt: str) -> tuple[int, str, str]:
+    """The case as ``python -m degspan.cli``, with this run's ``-O`` level and degspan."""
+    optimize = ["-" + "O" * sys.flags.optimize] if sys.flags.optimize else []
+    env = {**os.environ, "PYTHONPATH": str(Path(degspan.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-m", "degspan.cli", *argv(name, fmt)],
+        capture_output=True, env=env, check=False,
+    )
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
 
 
 def golden_path(name: str, fmt: str) -> Path:
     return GOLDEN / f"{name}.{fmt}.out"
 
 
+@pytest.mark.parametrize("entry", [run, run_module], ids=["main", "module"])
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, fmt):
-    code, out, err = run(name, fmt)
+def test_golden_output(name, fmt, entry):
+    code, out, err = entry(name, fmt)
     assert out.encode("utf-8") == golden_path(name, fmt).read_bytes()
     assert code == json.loads(CODES_FILE.read_text())[f"{name}.{fmt}"]
     if code == 2:

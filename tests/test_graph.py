@@ -486,10 +486,12 @@ def _inserted(text, line):
     lambda text: "# a leading comment\n" + text,
     lambda text: text.replace("\n", "\r\n"),
     lambda text: text[:-1],
+    lambda text: text[:-1].replace("\n", "\r\n"),
     lambda text: "# \u00e9t\u00e9 \u2211 \U0001d53e\n" + text,
     # a comment line longer than a block, in the middle of the edge lines
     lambda text: _inserted(text, "#" + "x" * degspan.graph._BLOCK + "\n"),
-], ids=["comment", "crlf", "no-final-newline", "non-ascii-comment", "long-comment"])
+], ids=["comment", "crlf", "no-final-newline", "crlf-no-final-newline", "non-ascii-comment",
+     "long-comment"])
 def test_dense_hand_written_files_keep_the_byte_rows(g, variant, monkeypatch):
     def no_list_rows(adjacency):
         raise AssertionError("a dense graph was read into neighbour lists")

@@ -4,6 +4,7 @@ from typing import ForwardRef
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import degspan.cli
 import degspan.solver
@@ -706,6 +707,13 @@ def _sample_n7_graphs():
         yield LabelledGraph.from_edges(7, keep)
 
 
+# every count an InfeasibilityWitness records, r included
+WITNESS_COUNTS = (
+    "size_u", "size_v", "hooks_u", "bridges_u", "hooks_v", "bridges_v",
+    "u_nbrs_same", "v_nbrs_same", "degree_sum", "r",
+)
+
+
 class TestWitness:
     def test_boundary_witness_numbers(self):
         g, seq = build_extremal(1, 3)
@@ -733,16 +741,21 @@ class TestWitness:
         with pytest.raises(ValueError):
             build_witness(g, t, f, c, r=2)
 
-    def test_tampered_witness_fails_validation(self):
+    @pytest.mark.parametrize("field, change", [
+        *((field, delta) for field in WITNESS_COUNTS for delta in (1, -1)),
+        ("contradicts_condition", None),
+    ])
+    def test_tampered_witness_fails_validation(self, field, change):
         g, seq = build_extremal(1, 3)
         w = find_spanning_tree(g, seq).witness
         assert validate_witness(g, w)
-        tampered = w._replace(bridges_u=w.bridges_u + 1)
-        assert not validate_witness(g, tampered)
-        tampered2 = w._replace(degree_sum=w.degree_sum + 2)
-        assert not validate_witness(g, tampered2)
-        flipped = w._replace(contradicts_condition=not w.contradicts_condition)
-        assert not validate_witness(g, flipped)
+        value = getattr(w, field)
+        tampered = w._replace(**{field: not value if change is None else value + change})
+        assert validate_witness(g, tampered) is False
+
+    def test_witness_of_another_pair_or_graph_fails_validation(self):
+        g, seq = build_extremal(1, 3)
+        w = find_spanning_tree(g, seq).witness
         swapped = w._replace(u=w.v, v=w.u)
         assert not validate_witness(g, swapped)
         # The same witness against a larger graph: K9 minus (0, 1).
@@ -797,6 +810,29 @@ class TestWitness:
         rows = list(g.adjacency)
         rows[x] = row
         assert validate_witness(LabelledGraph(tuple(rows)), w) is False
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_one_edited_row_never_makes_validation_raise(self, data):
+        g, seq = build_extremal(*data.draw(st.sampled_from([(1, 3), (2, 3), (1, 4)])))
+        w = find_spanning_tree(g, seq).witness
+        in_tree = data.draw(st.booleans())
+        rows = list((w.tree if in_tree else g).adjacency)
+        x = data.draw(st.integers(0, g.n - 1))
+        row = rows[x]
+        edit = data.draw(st.sampled_from(["drop", "append", "reorder"]))
+        if edit == "drop":
+            i = data.draw(st.integers(0, len(row) - 1))
+            rows[x] = row[:i] + row[i + 1:]
+        elif edit == "append":  # in range, or out of it on either side
+            rows[x] = (*row, data.draw(st.integers(-g.n, 2 * g.n)))
+        else:
+            rows[x] = tuple(data.draw(st.permutations(row)))
+        if in_tree:
+            result = validate_witness(g, w._replace(tree=LabelledTree(tuple(rows))))
+        else:
+            result = validate_witness(LabelledGraph(tuple(rows)), w)
+        assert type(result) is bool
 
     def test_witness_of_another_split_fails_validation(self):
         g, seq = build_extremal(2, 3)
