@@ -233,6 +233,18 @@ def _cmd_batch(args: argparse.Namespace) -> Report:
     return Report(summary.to_json_dict(), text, 0 if not summary.failures else 1)
 
 
+def _int(text: str) -> int:
+    """An integer option, spelt as graph files and sequence literals spell numbers:
+    ASCII digits after an optional minus sign, so ``0_1``, `` 5`` and ``５`` are refused."""
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -248,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="evaluate the degree-sum condition")
     check.add_argument("--graph", required=True, help="graph file path")
-    check.add_argument("--r", type=int, required=True, help="degree cap parameter (>= 2)")
+    check.add_argument("--r", type=_int, required=True, help="degree cap parameter (>= 2)")
     check.set_defaults(func=_cmd_check)
 
     realize = sub.add_parser("realize", help="canonical tree for a degree sequence")
@@ -258,28 +270,28 @@ def _build_parser() -> argparse.ArgumentParser:
     ofind = sub.add_parser("oracle-find", help="exhaustive search for a contained tree")
     ofind.add_argument("--graph", required=True)
     ofind.add_argument("--seq", required=True)
-    ofind.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    ofind.add_argument("--budget", type=_int, default=DEFAULT_BUDGET)
     ofind.set_defaults(func=_cmd_oracle_find)
 
     ocount = sub.add_parser("oracle-count", help="exhaustive count of contained trees")
     ocount.add_argument("--graph", required=True)
     ocount.add_argument("--seq", required=True)
-    ocount.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    ocount.add_argument("--budget", type=_int, default=DEFAULT_BUDGET)
     ocount.set_defaults(func=_cmd_oracle_count)
 
     extremal = sub.add_parser("extremal", help="emit a tight example family member")
-    extremal.add_argument("--k", type=int, required=True, help="group size (>= 1)")
-    extremal.add_argument("--r", type=int, default=3, help="degree cap (>= 3, default 3)")
+    extremal.add_argument("--k", type=_int, required=True, help="group size (>= 1)")
+    extremal.add_argument("--r", type=_int, default=3, help="degree cap (>= 3, default 3)")
     extremal.add_argument("--verify", action="store_true", help="run the tightness checks")
-    extremal.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    extremal.add_argument("--budget", type=_int, default=DEFAULT_BUDGET)
     extremal.set_defaults(func=_cmd_extremal)
 
     batch = sub.add_parser("batch", help="randomized solve/verify ensemble")
-    batch.add_argument("--n-min", type=int, required=True)
-    batch.add_argument("--n-max", type=int, required=True)
-    batch.add_argument("--r", type=int, default=3)
-    batch.add_argument("--count", type=int, required=True, help="number of instances")
-    batch.add_argument("--seed", type=int, default=0)
+    batch.add_argument("--n-min", type=_int, required=True)
+    batch.add_argument("--n-max", type=_int, required=True)
+    batch.add_argument("--r", type=_int, default=3)
+    batch.add_argument("--count", type=_int, required=True, help="number of instances")
+    batch.add_argument("--seed", type=_int, default=0)
     batch.add_argument("--verbose", action="store_true")
     batch.set_defaults(func=_cmd_batch)
 

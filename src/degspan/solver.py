@@ -27,14 +27,16 @@ the missing edge's parent end, stamps the child end's subtree as that end's
 side, walks u's side's bridges in ascending order, v's only when u's has
 none, stops at the first that is also a hook (``_exchange``) and re-hangs
 the moved subtrees.  So no exchange searches the whole tree or builds a
-hook or bridge set or a record; only a stall builds those sets and a
-CutAnalysis, for the witness.  One search (``_split``) checks the kept
-orientation, at a stall or once a found tree took an exchange, and its
-RootedForest is the split that a stall's witness counts.
-``orient_forest`` and ``apply_exchange`` take the loop's steps on
-LabelledTree values, ``compute_cut_sets`` returns the sets a witness
-counts, and ``validate_witness`` rebuilds a witness with them and
-compares; only the loop chooses an exchange.
+hook or bridge set or a record; only a stall builds those sets, for the
+witness.  One search (``_split``) checks the kept orientation, at a stall
+or once a found tree took an exchange, and its RootedForest is the split
+that ``build_witness(g, t, f, r)`` counts with ``_select`` on each side.
+``validate_witness`` splits the stored tree the same way and compares the
+witness it rebuilds there; only the loop chooses an exchange.
+
+``orient_forest``, ``compute_cut_sets``, ``apply_exchange`` and
+``CutAnalysis``, at the end of the module, are kept only for the tests
+and ``bench/tracing.py``; no code here calls them.
 """
 
 from collections.abc import Collection, Sequence
@@ -110,24 +112,6 @@ class ExchangeStep(NamedTuple):
 
     def to_json_dict(self) -> dict[str, Any]:
         return {**self.exchange.to_json_dict(), "phi_after": self.phi_after}
-
-
-class CutAnalysis(NamedTuple):
-    """Hook and bridge sets of one split, with each root's same-side degree.
-
-    For the side rooted at u: ``hooks_u`` are tree parents of vertices y
-    in that component with uy a graph edge; ``bridges_u`` are vertices of
-    that component graph-adjacent to v, so v has len(bridges_u) neighbours
-    on u's side.  ``u_nbrs_same`` counts u's neighbours on its own side.
-    The split stalls iff each side's hooks and bridges are disjoint.
-    """
-
-    hooks_u: frozenset[int]
-    bridges_u: frozenset[int]
-    hooks_v: frozenset[int]
-    bridges_v: frozenset[int]
-    u_nbrs_same: int
-    v_nbrs_same: int
 
 
 class Inequality(NamedTuple):
@@ -262,24 +246,6 @@ def _split(adj: Sequence[Sequence[int]], u: int, v: int) -> RootedForest | None:
     return RootedForest(tuple(side_u), tuple(side_v), tuple(parent))
 
 
-def orient_forest(t: LabelledTree, u: int, v: int) -> RootedForest:
-    """Remove tree edge (u, v) and orient both components away from its ends.
-
-    Returns the ``_split`` at the edge, whose ``side_u`` opens with the
-    smaller end in either argument order.  Raises ValueError unless (u, v)
-    is a tree edge whose split reaches every vertex.
-    """
-    if not (0 <= u < t.n and 0 <= v < t.n):
-        raise ValueError(f"vertices ({u}, {v}) out of range")
-    if v not in t.adjacency[u]:
-        raise ValueError(f"({u}, {v}) is not a tree edge")
-    u, v = normalized_edge(u, v)
-    f = _split(t.adjacency, u, v)
-    if f is None:
-        raise ValueError("input is not a tree: some vertices unreachable from the split")
-    return f
-
-
 def _select(
     g: LabelledGraph,
     near: int,
@@ -332,22 +298,6 @@ def _exchange(
     return None
 
 
-def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
-    """The hook, bridge and same-side sets a witness counts at the split ``f``.
-
-    The split is cut at (u, v) = (f.side_u[0], f.side_v[0]), and each
-    side's sets come from ``_select``; no exchange is chosen here.  The
-    roots themselves can be hooks, but never bridges while (u, v) is
-    missing from the graph.
-    """
-    u, v = f.side_u[0], f.side_v[0]
-    if not g.are_adjacent(u, v) and (u in g.adjacency[v] or v in g.adjacency[u]):
-        raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
-    hooks_u, bridges_u, same_u = _select(g, u, v, f.side_u, f.parent)
-    hooks_v, bridges_v, same_v = _select(g, v, u, f.side_v, f.parent)
-    return CutAnalysis(hooks_u, bridges_u, hooks_v, bridges_v, len(same_u), len(same_v))
-
-
 def _rewire(adj: list[list[int]], x: Exchange) -> None:
     """Edit the tree adjacency ``adj`` in place along an exchange.
 
@@ -378,116 +328,78 @@ def _tree_of(adj: list[list[int]]) -> LabelledTree:
     return LabelledTree(tuple(tuple(sorted(a)) for a in adj))
 
 
-def apply_exchange(t: LabelledTree, x: Exchange) -> LabelledTree:
-    """Rewire the tree along an exchange; degrees are untouched.
-
-    The four endpoints each lose one incident edge and gain one, and the
-    dropped split edge separates the components that the two added edges
-    reconnect, so the result is again a spanning tree.  A stale exchange,
-    one that does not fit ``t``, raises SolverInvariantError.
-    """
-    adj = [list(a) for a in t.adjacency]
-    _rewire(adj, x)
-    return _tree_of(adj)
-
-
 def _witness_chain(
     r: int,
-    size_u: int,
-    size_v: int,
-    c: CutAnalysis,
+    counts: Sequence[tuple[int, int, int, int]],
     deg_u: int,
     deg_v: int,
 ) -> tuple[Inequality, ...]:
+    """The inequalities of a stall from each side's (size, hooks, bridges, same) counts."""
+    (size_u, _, bridges_u, same_u), (size_v, _, bridges_v, same_v) = counts
     n = size_u + size_v
     chain: list[Inequality] = []
-    sides = (
-        ("u", "v", size_u, len(c.hooks_u), len(c.bridges_u),
-         len(c.hooks_u & c.bridges_u), c.u_nbrs_same),
-        ("v", "u", size_v, len(c.hooks_v), len(c.bridges_v),
-         len(c.hooks_v & c.bridges_v), c.v_nbrs_same),
-    )
-    for near, far, size, hooks, bridges, overlap, near_same in sides:
-        # the far root's neighbours on this side are this side's bridges
-        chain.append(
-            Inequality(f"|hooks_{near} & bridges_{near}| == 0", overlap, "==", 0)
-        )
-        chain.append(
-            Inequality(f"|bridges_{near}| == {far}_nbrs_other", bridges, "==", bridges)
-        )
-        chain.append(
+    for (near, far), (size, hooks, bridges, same) in zip(("uv", "vu"), counts):
+        # a stall's hooks and bridges are disjoint, and the far root's
+        # neighbours on this side are this side's bridges
+        chain += (
+            Inequality(f"|hooks_{near} & bridges_{near}| == 0", 0, "==", 0),
+            Inequality(f"|bridges_{near}| == {far}_nbrs_other", bridges, "==", bridges),
             Inequality(f"{near}_nbrs_same <= (r-1)*|hooks_{near}|",
-                       near_same, "<=", (r - 1) * hooks)
-        )
-        chain.append(
+                       same, "<=", (r - 1) * hooks),
             Inequality(f"|hooks_{near}| + |bridges_{near}| <= size_{near}",
-                       hooks + bridges, "<=", size)
-        )
-        chain.append(
-            Inequality(f"{near}_nbrs_same <= size_{near} - 1", near_same, "<=", size - 1)
-        )
-        chain.append(
-            Inequality(
-                f"{near}_nbrs_same + (r-1)*{far}_nbrs_other <= (r-1)*size_{near}",
-                near_same + (r - 1) * bridges, "<=", (r - 1) * size,
-            )
-        )
-        chain.append(
+                       hooks + bridges, "<=", size),
+            Inequality(f"{near}_nbrs_same <= size_{near} - 1", same, "<=", size - 1),
+            Inequality(f"{near}_nbrs_same + (r-1)*{far}_nbrs_other <= (r-1)*size_{near}",
+                       same + (r - 1) * bridges, "<=", (r - 1) * size),
             Inequality(
                 f"(r-1)*({near}_nbrs_same + {far}_nbrs_other) <= (2r-3)*size_{near} - (r-2)",
-                (r - 1) * (near_same + bridges), "<=", (2 * r - 3) * size - (r - 2),
-            )
+                (r - 1) * (same + bridges), "<=", (2 * r - 3) * size - (r - 2),
+            ),
         )
-    chain.append(Inequality("deg(u) == u_nbrs_same + u_nbrs_other",
-                            deg_u, "==", c.u_nbrs_same + len(c.bridges_v)))
-    chain.append(Inequality("deg(v) == v_nbrs_same + v_nbrs_other",
-                            deg_v, "==", c.v_nbrs_same + len(c.bridges_u)))
-    chain.append(
+    return (
+        *chain,
+        Inequality("deg(u) == u_nbrs_same + u_nbrs_other", deg_u, "==", same_u + bridges_v),
+        Inequality("deg(v) == v_nbrs_same + v_nbrs_other", deg_v, "==", same_v + bridges_u),
         Inequality("(r-1)*(deg(u)+deg(v)) <= (2r-3)*n - 2*(r-2)",
-                   (r - 1) * (deg_u + deg_v), "<=", (2 * r - 3) * n - 2 * (r - 2))
+                   (r - 1) * (deg_u + deg_v), "<=", (2 * r - 3) * n - 2 * (r - 2)),
     )
-    return tuple(chain)
 
 
 def build_witness(
-    g: LabelledGraph,
-    t: LabelledTree,
-    f: RootedForest,
-    c: CutAnalysis,
-    r: int,
+    g: LabelledGraph, t: LabelledTree, f: RootedForest, r: int
 ) -> InfeasibilityWitness:
-    """Assemble the counting record for a split with no exchange.
+    """Assemble the counting record of the split ``f`` of the tree ``t``, which has no exchange.
 
-    Requires a stall: raises ValueError when a side's hooks meet its
-    bridges.  The pair is the split's roots and the sizes its side
-    lengths.  ``r`` must dominate the tree's degree vector so the
+    Counts each side's hooks, bridges and same-side neighbours with
+    ``_select``, and requires a stall: raises ValueError when a side's
+    hooks meet its bridges.  The pair is the split's roots and the sizes
+    its side lengths.  ``r`` must dominate the tree's degree vector so the
     per-vertex child counts stay below r.
     """
-    if c.hooks_u & c.bridges_u or c.hooks_v & c.bridges_v:
-        raise ValueError("an exchange is available; nothing to witness")
     u, v = f.side_u[0], f.side_v[0]
-    size_u, size_v = len(f.side_u), len(f.side_v)
+    counts = []
+    for near, far, side in ((u, v, f.side_u), (v, u, f.side_v)):
+        hooks, bridges, same = _select(g, near, far, side, f.parent)
+        if hooks & bridges:
+            raise ValueError("an exchange is available; nothing to witness")
+        counts.append((len(side), len(hooks), len(bridges), len(same)))
+    (size_u, hooks_u, bridges_u, same_u), (size_v, hooks_v, bridges_v, same_v) = counts
     deg_u, deg_v = g.degree(u), g.degree(v)
-    chain = _witness_chain(r, size_u, size_v, c, deg_u, deg_v)
-    n = t.n
-    contradicts = False
-    if n >= r + 1:
-        contradicts = deg_u + deg_v >= degree_sum_threshold(n, r)
     return InfeasibilityWitness(
         u=u,
         v=v,
         r=r,
         size_u=size_u,
         size_v=size_v,
-        hooks_u=len(c.hooks_u),
-        bridges_u=len(c.bridges_u),
-        hooks_v=len(c.hooks_v),
-        bridges_v=len(c.bridges_v),
-        u_nbrs_same=c.u_nbrs_same,
-        v_nbrs_same=c.v_nbrs_same,
+        hooks_u=hooks_u,
+        bridges_u=bridges_u,
+        hooks_v=hooks_v,
+        bridges_v=bridges_v,
+        u_nbrs_same=same_u,
+        v_nbrs_same=same_v,
         degree_sum=deg_u + deg_v,
-        chain=chain,
-        contradicts_condition=contradicts,
+        chain=_witness_chain(r, counts, deg_u, deg_v),
+        contradicts_condition=t.n >= r + 1 and deg_u + deg_v >= degree_sum_threshold(t.n, r),
         tree=t,
     )
 
@@ -496,21 +408,22 @@ def validate_witness(g: LabelledGraph, w: InfeasibilityWitness) -> bool:
     """Rebuild the witness from its stored tree and the graph, and compare.
 
     Returns True only if the tree is a spanning tree on g's vertices,
-    (u, v) with u < v is a tree edge, the graph rows of u and v mirror
-    (each entry is in range and lists that root back), (u, v) is missing
-    from g, ``build_witness`` takes the split as a stall (its hooks and
-    bridges disjoint on each side, so no exchange is walked here) and
-    makes ``w`` of it in every field, and each inequality of the chain
-    holds.
+    0 <= u < v < n, (u, v) is a tree edge, the graph rows of u and v
+    mirror (each entry is in range and lists that root back), (u, v) is
+    missing from g, ``build_witness`` takes the ``_split`` at (u, v) as a
+    stall (its hooks and bridges disjoint on each side, so no exchange is
+    walked here) and makes ``w`` of it in every field, and each inequality
+    of the chain holds.
     """
-    if w.tree.n != g.n or w.r < 2 or w.u >= w.v or tree_defect(w.tree) is not None:
+    n, rows, adj = g.n, g.adjacency, w.tree.adjacency
+    if w.tree.n != n or w.r < 2 or not 0 <= w.u < w.v < n or tree_defect(w.tree) is not None:
         return False
-    rows = g.adjacency
+    if w.v not in adj[w.u] or (f := _split(adj, w.u, w.v)) is None:
+        return False
+    if not all(0 <= x < n and _row_has(rows[x], z) for z in (w.u, w.v) for x in rows[z]):
+        return False
     try:
-        f = orient_forest(w.tree, w.u, w.v)
-        if not all(0 <= x < g.n and _row_has(rows[x], z) for z in (w.u, w.v) for x in rows[z]):
-            return False
-        rebuilt = build_witness(g, w.tree, f, compute_cut_sets(g, f), w.r)
+        rebuilt = build_witness(g, w.tree, f, w.r)
     except ValueError:
         return False
     return not g.are_adjacent(w.u, w.v) and rebuilt == w and all(i.holds for i in w.chain)
@@ -583,7 +496,7 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
              or _exchange(g, "v", v, u, stamp, tag, v == c, parent, adj))
         if x is None:
             _check_kept(f := _split(adj, u, v), parent, p, c)
-            witness = build_witness(g, _tree_of(adj), f, compute_cut_sets(g, f), r)
+            witness = build_witness(g, _tree_of(adj), f, r)
             return SolveResult(tree=None, witness=witness, steps=tuple(steps))
         for a, b in (x.add_1, x.add_2):
             if not g.are_adjacent(a, b):
@@ -631,3 +544,73 @@ def verify_tree(g: LabelledGraph, t: LabelledTree, seq: DegreeSequence) -> Verif
         if have != want:
             return VerifyResult(False, f"degree mismatch at vertex {i}: {have} != {want}")
     return VerifyResult(True)
+
+
+# The step layer below is kept only for the tests and bench/tracing.py, which
+# wraps the three functions by name; no code above calls them.  They go once
+# the library records its own stats.
+
+
+def orient_forest(t: LabelledTree, u: int, v: int) -> RootedForest:
+    """Remove tree edge (u, v) and orient both components away from its ends.
+
+    Returns the ``_split`` at the edge, whose ``side_u`` opens with the
+    smaller end in either argument order.  Raises ValueError unless (u, v)
+    is a tree edge whose split reaches every vertex.
+    """
+    if not (0 <= u < t.n and 0 <= v < t.n):
+        raise ValueError(f"vertices ({u}, {v}) out of range")
+    if v not in t.adjacency[u]:
+        raise ValueError(f"({u}, {v}) is not a tree edge")
+    u, v = normalized_edge(u, v)
+    f = _split(t.adjacency, u, v)
+    if f is None:
+        raise ValueError("input is not a tree: some vertices unreachable from the split")
+    return f
+
+
+class CutAnalysis(NamedTuple):
+    """Hook and bridge sets of one split, with each root's same-side degree.
+
+    For the side rooted at u: ``hooks_u`` are tree parents of vertices y
+    in that component with uy a graph edge; ``bridges_u`` are vertices of
+    that component graph-adjacent to v, so v has len(bridges_u) neighbours
+    on u's side.  ``u_nbrs_same`` counts u's neighbours on its own side.
+    The split stalls iff each side's hooks and bridges are disjoint.
+    """
+
+    hooks_u: frozenset[int]
+    bridges_u: frozenset[int]
+    hooks_v: frozenset[int]
+    bridges_v: frozenset[int]
+    u_nbrs_same: int
+    v_nbrs_same: int
+
+
+def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
+    """The hook, bridge and same-side sets a witness counts at the split ``f``.
+
+    The split is cut at (u, v) = (f.side_u[0], f.side_v[0]), and each
+    side's sets come from ``_select``; no exchange is chosen here.  The
+    roots themselves can be hooks, but never bridges while (u, v) is
+    missing from the graph.
+    """
+    u, v = f.side_u[0], f.side_v[0]
+    if not g.are_adjacent(u, v) and (u in g.adjacency[v] or v in g.adjacency[u]):
+        raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
+    hooks_u, bridges_u, same_u = _select(g, u, v, f.side_u, f.parent)
+    hooks_v, bridges_v, same_v = _select(g, v, u, f.side_v, f.parent)
+    return CutAnalysis(hooks_u, bridges_u, hooks_v, bridges_v, len(same_u), len(same_v))
+
+
+def apply_exchange(t: LabelledTree, x: Exchange) -> LabelledTree:
+    """Rewire the tree along an exchange; degrees are untouched.
+
+    The four endpoints each lose one incident edge and gain one, and the
+    dropped split edge separates the components that the two added edges
+    reconnect, so the result is again a spanning tree.  A stale exchange,
+    one that does not fit ``t``, raises SolverInvariantError.
+    """
+    adj = [list(a) for a in t.adjacency]
+    _rewire(adj, x)
+    return _tree_of(adj)

@@ -185,7 +185,7 @@ def reference_find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> Solve
         f = orient_forest(t, *missing[0])
         x = reference_exchange(g, f)
         if x is None:
-            witness = build_witness(g, t, f, compute_cut_sets(g, f), r)
+            witness = build_witness(g, t, f, r)
             return SolveResult(tree=None, witness=witness, steps=tuple(steps))
         t = apply_exchange(t, x)
         steps.append(ExchangeStep(exchange=x, phi_after=len(foreign_edges(g, t))))

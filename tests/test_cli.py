@@ -163,6 +163,23 @@ def g1_file(tmp_path):
     return str(path)
 
 
+# every integer option, each in a command that is valid once the option is
+# added; a bad spelling stops the parse before any file is read
+INTEGER_OPTIONS = [
+    (["check", "--graph", "g.txt"], "--r"),
+    (["oracle-find", "--graph", "g.txt", "--seq", "1,1"], "--budget"),
+    (["oracle-count", "--graph", "g.txt", "--seq", "1,1"], "--budget"),
+    (["extremal"], "--k"),
+    (["extremal", "--k", "1"], "--r"),
+    (["extremal", "--k", "1"], "--budget"),
+    (["batch", "--n-max", "6", "--count", "1"], "--n-min"),
+    (["batch", "--n-min", "5", "--count", "1"], "--n-max"),
+    (["batch", "--n-min", "5", "--n-max", "6", "--count", "1"], "--r"),
+    (["batch", "--n-min", "5", "--n-max", "6"], "--count"),
+    (["batch", "--n-min", "5", "--n-max", "6", "--count", "1"], "--seed"),
+]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -483,6 +500,33 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+    def test_integer_spellings_that_files_refuse_exit_2(self, capsys, k4_file):
+        # each of these ran before, reading 0_1 as 1, ３ and ５ as 3 and 5, " 1_0_0" as 100
+        for argv in (
+            ["extremal", "--k", "0_1", "--r", "３"],
+            ["batch", "--n-min", "５", "--n-max", "6", "--count", "0_2", "--r", "3"],
+            ["oracle-count", "--graph", k4_file, "--seq", "3,1,1,1", "--budget", " 1_0_0"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "invalid int value" in err
+
+    @pytest.mark.parametrize("command, option", INTEGER_OPTIONS)
+    @pytest.mark.parametrize("spelling", [
+        "0_1", "３", " 1_0_0", "+1", "1.0", pytest.param("9" * 5000, id="5000-digits"),
+    ])
+    def test_every_integer_option_takes_ascii_digits_only(self, capsys, command, option, spelling):
+        code, out, err = run_cli(capsys, *command, option, spelling)
+        assert (code, out) == (2, "")
+        assert f"argument {option}: invalid int value: {spelling!r}" in err
+
+    def test_negative_seed_still_runs(self, capsys):
+        code, out, err = run_cli(
+            capsys, "batch", "--n-min", "5", "--n-max", "6", "--count", "1", "--seed", "-5"
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("instances: 1 solved: 1 verified: 1")
 
     def test_parser_is_built_once(self, capsys, monkeypatch):
         built = []

@@ -158,7 +158,7 @@ class TestComputeCutSets:
         c = compute_cut_sets(g, f)
         assert c.hooks_u & c.bridges_u == frozenset()
         assert c.hooks_v & c.bridges_v == frozenset()
-        assert build_witness(g, t, f, c, 3) == find_spanning_tree(g, seq).witness
+        assert build_witness(g, t, f, 3) == find_spanning_tree(g, seq).witness
         assert c.hooks_u == frozenset({0})
         assert c.bridges_u == frozenset({2, 3})
 
@@ -428,7 +428,7 @@ class TestFindSpanningTree:
                 w = res.witness
                 f = orient_forest(t, w.u, w.v)
                 r = max(2, seq.max_degree)
-                assert build_witness(g, t, f, compute_cut_sets(g, f), r) == w
+                assert build_witness(g, t, f, r) == w
                 assert validate_witness(g, w)
             outcomes.append(res.ok)
         assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
@@ -482,10 +482,10 @@ class TestCutSetsReference:
             assert c == reference_cut_sets(g, f)
             # build_witness refuses exactly the splits that have an exchange
             if reference_exchange(g, f) is None:
-                build_witness(g, t, f, c, r)
+                build_witness(g, t, f, r)
             else:
                 with pytest.raises(ValueError, match="an exchange is available; nothing to witness"):
-                    build_witness(g, t, f, c, r)
+                    build_witness(g, t, f, r)
 
     def test_loop_takes_the_reference_candidate(self):
         for g, seq, t, step in _exchange_states():
@@ -494,9 +494,26 @@ class TestCutSetsReference:
             if step is None:
                 assert x is None
                 w = find_spanning_tree(g, seq).witness
-                assert build_witness(g, t, f, reference_cut_sets(g, f), max(2, seq.max_degree)) == w
+                assert build_witness(g, t, f, max(2, seq.max_degree)) == w
             else:
                 assert x == step.exchange
+
+    def test_witness_counts_are_the_reference_set_sizes(self):
+        # every missing-edge split of the sweep whose reference sets stall
+        splits = 0
+        for g, seq, t, _ in _exchange_states():
+            for u, v in foreign_edges(g, t):
+                f = orient_forest(t, u, v)
+                c = reference_cut_sets(g, f)
+                if c.hooks_u & c.bridges_u or c.hooks_v & c.bridges_v:
+                    continue
+                w = build_witness(g, t, f, max(2, seq.max_degree))
+                assert (w.hooks_u, w.bridges_u, w.hooks_v, w.bridges_v,
+                        w.u_nbrs_same, w.v_nbrs_same) == (
+                    len(c.hooks_u), len(c.bridges_u), len(c.hooks_v), len(c.bridges_v),
+                    c.u_nbrs_same, c.v_nbrs_same)
+                splits += 1
+        assert splits >= 300
 
     def test_solve_without_a_stall_builds_no_records(self, monkeypatch):
         def fail(*args):
@@ -739,7 +756,7 @@ class TestWitness:
         c = compute_cut_sets(g, f)
         assert c.hooks_u & c.bridges_u
         with pytest.raises(ValueError):
-            build_witness(g, t, f, c, r=2)
+            build_witness(g, t, f, r=2)
 
     @pytest.mark.parametrize("field, change", [
         *((field, delta) for field in WITNESS_COUNTS for delta in (1, -1)),
@@ -767,7 +784,7 @@ class TestWitness:
         g4 = LabelledGraph.from_edges(4, [(0, 1), (1, 3), (2, 3)])
         cyclic = LabelledTree.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
         f = orient_forest(cyclic, 0, 2)
-        forged = build_witness(g4, cyclic, f, compute_cut_sets(g4, f), r=3)
+        forged = build_witness(g4, cyclic, f, r=3)
         assert not validate_witness(g4, forged)
 
     @pytest.mark.parametrize("row, bad", [((1, 2, 3, 4, 99), 99), ((-1, 1, 2, 3, 4), -1)])
@@ -778,6 +795,14 @@ class TestWitness:
         tree = LabelledTree((row, (0,), (0,), (0,), (0,), (0,)))
         assert tree_defect(tree) == f"not a tree: vertex {bad} out of range for n=6"
         assert not validate_witness(g, w._replace(tree=tree))
+
+    @pytest.mark.parametrize("pair", [{"u": -1}, {"v": 6}, {"v": 99}, {"u": 6, "v": 7}])
+    def test_witness_pair_out_of_range_fails_validation(self, pair):
+        # u = -1 must not read the last tree row, nor u = n raise IndexError
+        g, seq = build_extremal(1, 3)
+        w = find_spanning_tree(g, seq).witness
+        assert g.n == 6 and validate_witness(g, w)
+        assert validate_witness(g, w._replace(**pair)) is False
 
     def test_witness_tree_with_a_moved_row_entry_fails_validation(self):
         # 1 moves from row 4 to row 2: still 2(n - 1) entries, and the
