@@ -44,8 +44,17 @@ def normalized_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _int_or_none(x: Any) -> int | None:
+    """``int(x)`` when that equals x, so True reads as 1 and 2.0 as 2; else None."""
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == x else None
+
+
 def _row_has(row: tuple[int, ...], v: int) -> bool:
-    """True iff v is in ``row``, an ascending adjacency row, found by bisection."""
+    """True iff v is in the ascending row ``row``; every row lookup but the oracle's walk."""
     i = bisect_left(row, v)
     return i < len(row) and row[i] == v
 
@@ -88,12 +97,22 @@ class LabelledGraph(NamedTuple):
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "LabelledGraph":
         """Build a graph from pairs in any order and orientation; duplicates collapse.
 
-        Raises ValueError for out-of-range endpoints or self-loops.
+        ``n`` and each endpoint x are read as ``int(x)`` when that equals x
+        (so True reads as 1 and 2.0 as 2), and refused otherwise.  Raises
+        ValueError for such values, out-of-range endpoints or self-loops.
         """
+        m = _int_or_none(n)
+        if m is None:
+            raise ValueError(f"vertex count {n!r} is not an integer")
+        n = m
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         adjacency: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
+            a, b = _int_or_none(u), _int_or_none(v)
+            if a is None or b is None:
+                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
+            u, v = a, b
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
@@ -122,9 +141,7 @@ class LabelledGraph(NamedTuple):
         n = len(adjacency)
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"vertex {v if 0 <= u < n else u} out of range for n={n}")
-        nbrs = adjacency[u]
-        i = bisect_left(nbrs, v)
-        return i < len(nbrs) and nbrs[i] == v
+        return _row_has(adjacency[u], v)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"n": self.n, "edges": self.edges}

@@ -8,9 +8,9 @@ word, and decoding follows the smallest-leaf-first rule.
 
 import random
 from collections.abc import Iterable, Iterator, Sequence
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
-from .graph import MAX_N, Edge, bounded_int
+from .graph import MAX_N, Edge, _int_or_none, bounded_int
 from .tree import LabelledTree
 
 __all__ = [
@@ -53,13 +53,6 @@ class DegreeSequence(NamedTuple):
         return max(self.degrees)
 
 
-def _int_or_none(x: Any) -> int | None:
-    try:
-        return int(x)
-    except (TypeError, ValueError, OverflowError):
-        return None
-
-
 def validate_degree_sequence(degrees: Iterable[int]) -> DegreeSequence:
     """Check for positive integers summing to 2(n-1); return the validated sequence.
 
@@ -73,7 +66,7 @@ def validate_degree_sequence(degrees: Iterable[int]) -> DegreeSequence:
         raise SequenceError(f"need at least two entries, got {n}", code="length")
     ds = raw if all(type(d) is int for d in raw) else tuple(map(_int_or_none, raw))
     for i, (x, d) in enumerate(zip(raw, ds)):
-        if d is None or x != d:
+        if d is None:
             raise SequenceError(f"entry {x!r} at position {i} is not an integer", code="entry")
         if d < 1:
             raise SequenceError(f"entry {d} at position {i} is not positive", code="entry")
@@ -151,7 +144,7 @@ def prufer_decode(word: Sequence[int], n: int) -> LabelledTree:
     otherwise refused with a ValueError naming it.
     """
     m = _int_or_none(n)
-    if m is None or m != n:
+    if m is None:
         raise ValueError(f"n = {n!r} is not an integer")
     n = m
     if n < 2:
@@ -160,7 +153,7 @@ def prufer_decode(word: Sequence[int], n: int) -> LabelledTree:
         raise ValueError(f"word length {len(word)} != n - 2 = {n - 2}")
     ws = word if all(type(w) is int for w in word) else tuple(map(_int_or_none, word))
     for i, (x, w) in enumerate(zip(word, ws)):
-        if w is None or x != w:
+        if w is None:
             raise ValueError(f"word entry {x!r} at position {i} is not an integer")
         if not (0 <= w < n):
             raise ValueError(f"word entry {w} out of range [0, {n})")

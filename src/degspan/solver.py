@@ -418,7 +418,7 @@ def validate_witness(g: LabelledGraph, w: InfeasibilityWitness) -> bool:
     n, rows, adj = g.n, g.adjacency, w.tree.adjacency
     if w.tree.n != n or w.r < 2 or not 0 <= w.u < w.v < n or tree_defect(w.tree) is not None:
         return False
-    if w.v not in adj[w.u] or (f := _split(adj, w.u, w.v)) is None:
+    if not _row_has(adj[w.u], w.v) or (f := _split(adj, w.u, w.v)) is None:
         return False
     if not all(0 <= x < n and _row_has(rows[x], z) for z in (w.u, w.v) for x in rows[z]):
         return False
@@ -426,7 +426,7 @@ def validate_witness(g: LabelledGraph, w: InfeasibilityWitness) -> bool:
         rebuilt = build_witness(g, w.tree, f, w.r)
     except ValueError:
         return False
-    return not g.are_adjacent(w.u, w.v) and rebuilt == w and all(i.holds for i in w.chain)
+    return not _row_has(rows[w.u], w.v) and rebuilt == w and all(i.holds for i in w.chain)
 
 
 def _reroot(parent: list[int], x: int) -> None:
@@ -461,6 +461,7 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
     if g.n != seq.n:
         raise ValueError(f"graph order {g.n} != sequence length {seq.n}")
     r = max(2, seq.max_degree)
+    rows = g.adjacency
     adj: list[list[int]] = [[] for _ in range(g.n)]
     parent = list(range(g.n))
     missing: list[Edge] = []
@@ -468,7 +469,7 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
         adj[a].append(b)
         adj[b].append(a)
         parent[a] = b
-        if not _row_has(g.adjacency[a], b):
+        if not _row_has(rows[a], b):
             missing.append(normalized_edge(a, b))
     missing.sort()
     steps: list[ExchangeStep] = []
@@ -490,7 +491,7 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
                     stamp[b] = tag
                     below.append(b)
         # each root is on its own side, so it is a bridge iff the other root sees it
-        if g.are_adjacent(v, u) or g.are_adjacent(u, v):
+        if _row_has(rows[v], u) or _row_has(rows[u], v):
             raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
         x = (_exchange(g, "u", u, v, stamp, tag, u == c, parent, adj)
              or _exchange(g, "v", v, u, stamp, tag, v == c, parent, adj))
@@ -499,7 +500,7 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
             witness = build_witness(g, _tree_of(adj), f, r)
             return SolveResult(tree=None, witness=witness, steps=tuple(steps))
         for a, b in (x.add_1, x.add_2):
-            if not g.are_adjacent(a, b):
+            if not _row_has(rows[a], b):
                 raise SolverInvariantError(f"exchange {x} adds ({a}, {b}), not a graph edge")
         _rewire(adj, x)
         for z in (*x.drop_foreign, *x.drop_tree):
@@ -560,7 +561,7 @@ def orient_forest(t: LabelledTree, u: int, v: int) -> RootedForest:
     """
     if not (0 <= u < t.n and 0 <= v < t.n):
         raise ValueError(f"vertices ({u}, {v}) out of range")
-    if v not in t.adjacency[u]:
+    if not _row_has(t.adjacency[u], v):
         raise ValueError(f"({u}, {v}) is not a tree edge")
     u, v = normalized_edge(u, v)
     f = _split(t.adjacency, u, v)
@@ -596,7 +597,7 @@ def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
     missing from the graph.
     """
     u, v = f.side_u[0], f.side_v[0]
-    if not g.are_adjacent(u, v) and (u in g.adjacency[v] or v in g.adjacency[u]):
+    if _row_has(g.adjacency[v], u) and not _row_has(g.adjacency[u], v):
         raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
     hooks_u, bridges_u, same_u = _select(g, u, v, f.side_u, f.parent)
     hooks_v, bridges_v, same_v = _select(g, v, u, f.side_v, f.parent)

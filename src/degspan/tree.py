@@ -1,9 +1,8 @@
 """Labelled trees as graphs that keep every edge they are given, plus the tree-ness check."""
 
-from bisect import bisect_left
 from collections.abc import Iterable
 
-from .graph import LabelledGraph
+from .graph import LabelledGraph, _int_or_none, _row_has
 
 __all__ = ["LabelledTree", "tree_defect"]
 
@@ -24,7 +23,8 @@ class LabelledTree(LabelledGraph):
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "LabelledTree":
         """Build from pairs in any order and orientation; a repeated edge is an error."""
-        if n < 1:
+        m = _int_or_none(n)  # None: LabelledGraph.from_edges refuses it below
+        if m is not None and m < 1:
             raise ValueError("need at least one vertex")
         pairs = list(edges)
         t = super().from_edges(n, pairs)
@@ -69,11 +69,8 @@ def tree_defect(t: LabelledTree) -> str | None:
                 parent[ru] = rv
             elif v < 0:
                 return f"not a tree: vertex {v} out of range for n={n}"
-            else:
-                row = adjacency[v]
-                i = bisect_left(row, u)
-                if i == len(row) or row[i] != u:
-                    return f"not a tree: vertex {u} lists {v}, but vertex {v} does not list {u}"
+            elif not _row_has(adjacency[v], u):
+                return f"not a tree: vertex {u} lists {v}, but vertex {v} does not list {u}"
             if v <= last:
                 return f"not a tree: row of vertex {u} is not strictly ascending at {v}"
             last = v

@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from collections import deque
 from collections.abc import Iterator, Sequence
 
 from hypothesis import strategies as st
@@ -24,10 +25,7 @@ from degspan.solver import (
     RootedForest,
     SolveResult,
     SolverInvariantError,
-    apply_exchange,
     build_witness,
-    foreign_edges,
-    orient_forest,
 )
 from degspan.tree import tree_defect
 
@@ -170,25 +168,60 @@ def reference_exchange(g: LabelledGraph, f: RootedForest, sides: str = "uv") -> 
     return None
 
 
+def reference_split(t: LabelledTree, u: int, v: int) -> RootedForest:
+    """The tree t cut at its edge (u, v), u < v, by a breadth-first search from both ends."""
+    parent = [-1] * t.n
+    parent[u], parent[v] = u, v
+    sides = []
+    for root in (u, v):
+        side, queue = [root], deque([root])
+        while queue:
+            x = queue.popleft()
+            for y in t.adjacency[x]:
+                if parent[y] == -1:
+                    parent[y] = x
+                    side.append(y)
+                    queue.append(y)
+        sides.append(tuple(side))
+    if sorted(sides[0] + sides[1]) != list(range(t.n)):
+        raise ValueError(f"the split at ({u}, {v}) does not reach every vertex exactly once")
+    return RootedForest(sides[0], sides[1], tuple(parent))
+
+
+def reference_rewire(t: LabelledTree, x: Exchange) -> LabelledTree:
+    """The tree t less the exchange's two dropped edges plus its two added ones, as an edge set."""
+    edges = set(t.edges)
+    for a, b in (x.drop_foreign, x.drop_tree):
+        edges.remove((min(a, b), max(a, b)))
+    for a, b in (x.add_1, x.add_2):
+        if (min(a, b), max(a, b)) in edges:
+            raise SolverInvariantError(f"exchange {x} adds ({a}, {b}), already a tree edge")
+        edges.add((min(a, b), max(a, b)))
+    return LabelledTree.from_edges(t.n, edges)
+
+
 def reference_find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
     """Reference exchange loop that searches the whole tree at every exchange.
 
     Starts from ``realize_tree``, the tree the solver decodes, and for the
-    smallest missing edge orients the tree afresh (``orient_forest``, one
-    ``_split``), takes ``reference_exchange`` and applies it, until no
-    edge is missing or the rule stalls.
+    smallest missing edge splits the tree afresh (``reference_split``),
+    takes ``reference_exchange`` and applies it (``reference_rewire``),
+    until no edge is missing or the rule stalls.
     """
+    def missing(t: LabelledTree) -> list[tuple[int, int]]:
+        return [e for e in t.edges if not g.are_adjacent(*e)]
+
     r = max(2, seq.max_degree)
     t = realize_tree(seq)
     steps: list[ExchangeStep] = []
-    while missing := foreign_edges(g, t):
-        f = orient_forest(t, *missing[0])
+    while edges := missing(t):
+        f = reference_split(t, *edges[0])
         x = reference_exchange(g, f)
         if x is None:
             witness = build_witness(g, t, f, r)
             return SolveResult(tree=None, witness=witness, steps=tuple(steps))
-        t = apply_exchange(t, x)
-        steps.append(ExchangeStep(exchange=x, phi_after=len(foreign_edges(g, t))))
+        t = reference_rewire(t, x)
+        steps.append(ExchangeStep(exchange=x, phi_after=len(missing(t))))
     return SolveResult(tree=t, witness=None, steps=tuple(steps))
 
 

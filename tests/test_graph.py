@@ -10,17 +10,20 @@ from hypothesis import strategies as st
 from degspan import (
     GraphParseError,
     LabelledGraph,
+    LabelledTree,
     check_condition,
     degree_sum_threshold,
+    find_spanning_tree,
     min_nonadjacent_degree_sum,
     parse_graph,
     random_condition_graph,
     serialize_graph,
+    validate_degree_sequence,
 )
 from degspan.cli import run_batch
 from degspan.extremal import build_extremal, extremal_order
 import degspan.graph
-from degspan.graph import MAX_GENERATED_N, MAX_N, bounded_int, normalized_edge
+from degspan.graph import MAX_GENERATED_N, MAX_N, _row_has, bounded_int, normalized_edge
 from support import all_labelled_graphs, complete_graph, graphs, path_graph
 
 
@@ -553,15 +556,66 @@ class TestAdjacency:
             assert min_nonadjacent_degree_sum(minus_edge) is not None
 
     def test_construction_rejects_bad_edges(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge \(0, 3\) out of range for n=3$"):
             LabelledGraph.from_edges(3, [(0, 3)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
             LabelledGraph.from_edges(3, [(1, 1)])
 
     def test_construction_rejects_negative_count(self):
         with pytest.raises(ValueError) as exc:
             LabelledGraph.from_edges(-1, [])
         assert str(exc.value) == "vertex count must be non-negative"
+
+    def test_bool_endpoints_are_stored_as_ints(self):
+        g = LabelledGraph.from_edges(2, [(True, 0)])
+        assert g == LabelledGraph(((1,), (0,)))
+        assert all(type(x) is int for row in g.adjacency for x in row)
+        assert parse_graph(serialize_graph(g)) == g
+        t = LabelledTree.from_edges(3, [(0, True), (True, 2)])
+        assert t.to_json_dict()["edges"] == ((0, 1), (1, 2))
+        assert all(type(x) is int for row in t.adjacency for x in row)
+
+    def test_integral_values_read_as_ints(self):
+        g = LabelledGraph.from_edges(3.0, [(2.0, 0), (1, 2)])
+        assert g == LabelledGraph.from_edges(3, [(0, 2), (1, 2)])
+        assert type(g.n) is int
+
+    @pytest.mark.parametrize("bad", [1.5, "1", None])
+    def test_non_integer_endpoints_are_refused(self, bad):
+        with pytest.raises(ValueError, match=rf"^edge \(0, {bad!r}\) has an endpoint that is not"):
+            LabelledGraph.from_edges(3, [(0, bad)])
+        with pytest.raises(ValueError, match=rf"^edge \({bad!r}, 0\) has an endpoint that is not"):
+            LabelledTree.from_edges(3, [(bad, 0)])
+
+    @pytest.mark.parametrize("bad", [2.5, "2", None])
+    def test_non_integer_count_is_refused(self, bad):
+        for cls in (LabelledGraph, LabelledTree):
+            with pytest.raises(ValueError, match=rf"^vertex count {bad!r} is not an integer$"):
+                cls.from_edges(bad, [])
+
+
+@given(st.sets(st.integers(-20, 20)).map(sorted).map(tuple),
+       st.one_of(st.integers(-25, 25), st.integers()))
+@example((), 0)
+@example((0,), -1)
+@example((1, 3), 4)
+def test_row_has_is_membership(row, v):
+    assert _row_has(row, v) == (v in row)
+
+
+class TestRowsThatDoNotAscend:
+    """The outcomes README documents for rows that mirror but do not ascend."""
+
+    def test_descending_row_refuses_a_witness(self):
+        g = LabelledGraph(((1, 2, 3), (0, 2, 3), (1, 0), (0, 1)))
+        with pytest.raises(ValueError, match=r"^an exchange is available; nothing to witness$"):
+            find_spanning_tree(g, validate_degree_sequence((1, 2, 2, 1)))
+
+    def test_reversed_row_reports_an_edge_as_the_worst_pair(self):
+        rows = ((4, 3, 2, 1), (0, 2, 3, 5), (0, 1, 3, 5), (0, 1, 2, 4, 5), (0, 3, 5), (1, 2, 3, 4))
+        assert check_condition(LabelledGraph(rows), 3).worst_pair == (0, 4, 7)
+        sorted_rows = LabelledGraph(tuple(tuple(sorted(row)) for row in rows))
+        assert check_condition(sorted_rows, 3).worst_pair[:2] == (1, 4)
 
 
 def brute_min_pair(g):

@@ -54,6 +54,8 @@ from support import (
     prufer_words,
     reference_exchange,
     reference_find_spanning_tree,
+    reference_rewire,
+    reference_split,
 )
 from support import compute_cut_sets as reference_cut_sets  # the comprehension-based sets
 
@@ -85,6 +87,14 @@ class TestOrientForest:
         path = LabelledTree.from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError):
             orient_forest(path, 0, 2)
+
+    def test_bisects_a_row_so_a_descending_row_hides_its_edges(self):
+        # README: row 0 descends, so the bisection misses both of its real edges
+        t = LabelledTree(((2, 1), (0,), (0,)))
+        assert tree_defect(t) == "not a tree: row of vertex 0 is not strictly ascending at 1"
+        for v in (1, 2):
+            with pytest.raises(ValueError, match=rf"^\(0, {v}\) is not a tree edge$"):
+                orient_forest(t, 0, v)
 
     def test_rejects_out_of_range_vertex(self):
         path = LabelledTree.from_edges(3, [(0, 1), (1, 2)])
@@ -610,6 +620,14 @@ class TestKeptOrientation:
             assert res == reference_find_spanning_tree(g, seq)
             stalls += not res.ok
         assert stalls == 88 + 16
+
+    def test_reference_loop_refuses_what_it_cannot_apply(self):
+        path = LabelledTree.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        x = Exchange(side="u", drop_foreign=(1, 2), drop_tree=(2, 3), add_1=(0, 1), add_2=(3, 2))
+        with pytest.raises(SolverInvariantError, match=r"adds \(0, 1\), already a tree edge$"):
+            reference_rewire(path, x)
+        with pytest.raises(ValueError, match=r"^the split at \(0, 1\) does not reach every vertex"):
+            reference_split(LabelledTree.from_edges(3, [(0, 1)]), 0, 1)
 
     @given(graph_with_sequence(min_n=2, max_n=12))
     @settings(max_examples=150, deadline=None)
