@@ -10,7 +10,7 @@ as small as 1/(r-1), which float arithmetic would blur.
 from fractions import Fraction
 from typing import Any, NamedTuple
 
-from .graph import LabelledGraph, min_nonadjacent_degree_sum
+from .graph import LabelledGraph, _named_int, min_nonadjacent_degree_sum
 
 __all__ = ["ConditionReport", "degree_sum_threshold", "check_condition"]
 
@@ -37,8 +37,10 @@ def degree_sum_threshold(n: int, r: int) -> Fraction:
 
     r = 2 gives n + 1.  A non-adjacent pair's degree sum is at most
     2(n-2), so a non-complete graph can reach it from n = 5 on: K6 minus
-    one edge has sum 8 >= 7.
+    one edge has sum 8 >= 7.  n and r are read as ``int(x)`` when that
+    equals x (so 3.0 reads as 3); anything else raises ValueError.
     """
+    n, r = _named_int("n", n), _named_int("r", r)
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
     if n < r + 1:
@@ -50,8 +52,10 @@ def check_condition(g: LabelledGraph, r: int) -> ConditionReport:
     """Evaluate the degree-sum condition on every non-adjacent pair.
 
     Complete graphs satisfy it vacuously.  ``worst_pair`` is the
-    lexicographically first minimizing pair otherwise.
+    lexicographically first minimizing pair otherwise.  ``r`` follows
+    ``degree_sum_threshold``'s integer rule, and the report holds the int.
     """
+    r = _named_int("r", r)
     bound = degree_sum_threshold(g.n, r)
     worst = min_nonadjacent_degree_sum(g)
     if worst is None:

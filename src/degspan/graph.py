@@ -53,6 +53,14 @@ def _int_or_none(x: Any) -> int | None:
     return i if i == x else None
 
 
+def _named_int(name: str, x: Any) -> int:
+    """x read by ``_int_or_none``'s rule; anything else raises a ValueError naming x."""
+    i = _int_or_none(x)
+    if i is None:
+        raise ValueError(f"{name} = {x!r} is not an integer")
+    return i
+
+
 def _row_has(row: tuple[int, ...], v: int) -> bool:
     """True iff v is in the ascending row ``row``; every row lookup but the oracle's walk."""
     i = bisect_left(row, v)
@@ -126,22 +134,23 @@ class LabelledGraph(NamedTuple):
         """Normalized (u < v) pairs in sorted order."""
         return tuple([(u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v])
 
+    def _vertex(self, v: Any) -> int:
+        """v read by the integer rule (ValueError), then range-checked (IndexError)."""
+        i = _named_int("vertex", v)
+        if not 0 <= i < len(self.adjacency):
+            raise IndexError(f"vertex {i} out of range for n={self.n}")
+        return i
+
     def degree(self, v: int) -> int:
-        if not (0 <= v < self.n):
-            raise IndexError(f"vertex {v} out of range for n={self.n}")
-        return len(self.adjacency[v])
+        """The degree of v, read as ``int(v)`` when that equals v (so 1.0 reads as 1)."""
+        return len(self.adjacency[self._vertex(v)])
 
     def degree_vector(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.adjacency)
 
     def are_adjacent(self, u: int, v: int) -> bool:
-        """True iff {u, v} is an edge; always False for u == v."""
-        # Unpacking reads the one field; a named field read is a call.
-        (adjacency,) = self
-        n = len(adjacency)
-        if not (0 <= u < n and 0 <= v < n):
-            raise IndexError(f"vertex {v if 0 <= u < n else u} out of range for n={n}")
-        return _row_has(adjacency[u], v)
+        """True iff {u, v} is an edge; always False for u == v.  Reads u, then v, as ``degree``."""
+        return _row_has(self.adjacency[self._vertex(u)], self._vertex(v))
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"n": self.n, "edges": self.edges}
@@ -166,7 +175,8 @@ def parse_graph(text: str) -> LabelledGraph:
     The text is read once.  Lines up to the vertex count are read one at a
     time, then blocks of about ``_BLOCK`` characters cut after a newline; a
     longer line, or a last line with no newline, ends its block.  CRLF
-    becomes LF in a block that holds a carriage return.  Rows are a
+    becomes LF in a block that holds a carriage return, unless a carriage
+    return would be left over: that block is split as it stands.  Rows are a
     ``bytearray`` of n bytes per vertex when n^2 is at most
     ``_ROW_BYTES_PER_CHAR`` bytes per input character, so only a dense
     graph's cost n^2; else they are lists.
@@ -192,8 +202,9 @@ def parse_graph(text: str) -> LabelledGraph:
         pos = cut
         if not block.endswith("\n"):  # the last line; an added newline renumbers no line
             block += "\n"
-        if "\r" in block:
-            block = block.replace("\r\n", "\n")
+        # "\r\r\n" is two line breaks, which folding would merge into one
+        if "\r" in block and "\r" not in (folded := block.replace("\r\n", "\n")):
+            block = folded
         lines = block.count("\n")
         if (vertex and block.isascii()
                 and block.encode().translate(None, b"0123456789") == b" \n" * lines
@@ -335,6 +346,7 @@ def random_condition_graph(n: int, r: int, seed: int) -> LabelledGraph:
     """
     from .condition import degree_sum_threshold
 
+    n, r = _named_int("n", n), _named_int("r", r)
     if not 4 <= n <= MAX_GENERATED_N:
         raise ValueError(f"need 4 <= n <= generator limit {MAX_GENERATED_N}, got {n}")
     if r < 2:

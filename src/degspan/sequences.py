@@ -10,7 +10,7 @@ import random
 from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
-from .graph import MAX_N, Edge, _int_or_none, bounded_int
+from .graph import MAX_N, Edge, _int_or_none, _named_int, bounded_int
 from .tree import LabelledTree
 
 __all__ = [
@@ -143,10 +143,7 @@ def prufer_decode(word: Sequence[int], n: int) -> LabelledTree:
     read as ``int(x)`` when that equals x (so 1.0 reads as 1), and is
     otherwise refused with a ValueError naming it.
     """
-    m = _int_or_none(n)
-    if m is None:
-        raise ValueError(f"n = {n!r} is not an integer")
-    n = m
+    n = _named_int("n", n)
     if n < 2:
         raise ValueError("need n >= 2")
     if len(word) != n - 2:

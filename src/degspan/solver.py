@@ -30,7 +30,7 @@ the moved subtrees.  So no exchange searches the whole tree or builds a
 hook or bridge set or a record; only a stall builds those sets, for the
 witness.  One search (``_split``) checks the kept orientation, at a stall
 or once a found tree took an exchange, and its RootedForest is the split
-that ``build_witness(g, t, f, r)`` counts with ``_select`` on each side.
+that ``build_witness(g, t, f)`` counts with ``_select`` on each side.
 ``validate_witness`` splits the stored tree the same way and compares the
 witness it rebuilds there; only the loop chooses an exchange.
 
@@ -39,7 +39,7 @@ witness it rebuilds there; only the loop chooses an exchange.
 and ``bench/tracing.py``; no code here calls them.
 """
 
-from collections.abc import Collection, Sequence
+from collections.abc import Sequence
 from typing import Any, NamedTuple
 
 from .condition import degree_sum_threshold
@@ -247,44 +247,38 @@ def _split(adj: Sequence[Sequence[int]], u: int, v: int) -> RootedForest | None:
 
 
 def _select(
-    g: LabelledGraph,
-    near: int,
-    far: int,
-    vertices: Collection[int],
-    parent: Sequence[int],
+    g: LabelledGraph, far: int, side: Sequence[int], parent: Sequence[int]
 ) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """Hooks, bridges (graph neighbours of ``far``) and ``same`` (those of ``near``) of a side.
+    """Hooks, bridges (graph neighbours of ``far``) and ``same`` (those of the root) of a side.
 
-    ``vertices`` is the side of a split rooted at ``near``, and ``parent``
-    orients it toward ``near``.  Only a witness counts these sets.
+    ``side`` is a side of a split, opening with its root ``near``, and
+    ``parent`` orients it toward ``near``.  Only a witness counts these sets.
     """
-    mine = frozenset(vertices)
-    same = mine.intersection(g.adjacency[near])
+    mine = frozenset(side)
+    same = mine.intersection(g.adjacency[side[0]])
     return frozenset(map(parent.__getitem__, same)), mine.intersection(g.adjacency[far]), same
 
 
 def _exchange(
     g: LabelledGraph,
-    side: str,
     near: int,
     far: int,
     label: Sequence[int],
     tag: int,
-    inside: bool,
     parent: Sequence[int],
     adj: Sequence[Sequence[int]],
 ) -> Exchange | None:
-    """The exchange on the side of a split rooted at ``near``, or None.
+    """The exchange on the side of a split rooted at ``near``, side "u" if near < far, or None.
 
-    The side holds the vertices x with ``(label[x] == tag) == inside``,
-    and ``parent`` orients it toward ``near`` (the roots' own entries are
-    read only when near-far is a graph edge).  Walks the far root's graph
-    row in ascending order, skipping vertices off the side, and stops at
-    the first w that is also a hook: a parent of some y in ``adj[w]`` that
-    ``near`` could adopt (near-y a graph edge).  The exchange drops (w, y)
-    for the smallest such y.  Only the exchange loop calls it.
+    The side holds the vertices x with ``label[x] == tag`` just when
+    ``near`` does, and ``parent`` orients it toward ``near`` (the roots'
+    own entries are read only when near-far is a graph edge).  Walks the
+    far root's graph row in ascending order, skipping vertices off the
+    side, and stops at the first w that is also a hook: a parent of some
+    y in ``adj[w]`` that ``near`` could adopt (near-y a graph edge).  The
+    exchange drops (w, y) for the smallest such y.  Only the loop calls it.
     """
-    near_row = g.adjacency[near]
+    near_row, inside = g.adjacency[near], label[near] == tag
     for w in g.adjacency[far]:
         if (label[w] == tag) != inside:
             continue
@@ -293,7 +287,8 @@ def _exchange(
             if parent[c] == w and (y < 0 or c < y) and _row_has(near_row, c):
                 y = c
         if y >= 0:
-            return Exchange(side=side, drop_foreign=normalized_edge(near, far),
+            return Exchange(side="u" if near < far else "v",
+                            drop_foreign=normalized_edge(near, far),
                             drop_tree=(w, y), add_1=(near, y), add_2=(far, w))
     return None
 
@@ -365,21 +360,19 @@ def _witness_chain(
     )
 
 
-def build_witness(
-    g: LabelledGraph, t: LabelledTree, f: RootedForest, r: int
-) -> InfeasibilityWitness:
+def build_witness(g: LabelledGraph, t: LabelledTree, f: RootedForest) -> InfeasibilityWitness:
     """Assemble the counting record of the split ``f`` of the tree ``t``, which has no exchange.
 
     Counts each side's hooks, bridges and same-side neighbours with
     ``_select``, and requires a stall: raises ValueError when a side's
-    hooks meet its bridges.  The pair is the split's roots and the sizes
-    its side lengths.  ``r`` must dominate the tree's degree vector so the
-    per-vertex child counts stay below r.
+    hooks meet its bridges.  The pair is the split's roots, the sizes its
+    side lengths, and r the tree's largest degree, at least 2, so each
+    vertex has fewer than r children.
     """
-    u, v = f.side_u[0], f.side_v[0]
+    u, v, r = f.side_u[0], f.side_v[0], max(2, *map(len, t.adjacency))
     counts = []
-    for near, far, side in ((u, v, f.side_u), (v, u, f.side_v)):
-        hooks, bridges, same = _select(g, near, far, side, f.parent)
+    for far, side in ((v, f.side_u), (u, f.side_v)):
+        hooks, bridges, same = _select(g, far, side, f.parent)
         if hooks & bridges:
             raise ValueError("an exchange is available; nothing to witness")
         counts.append((len(side), len(hooks), len(bridges), len(same)))
@@ -411,19 +404,19 @@ def validate_witness(g: LabelledGraph, w: InfeasibilityWitness) -> bool:
     0 <= u < v < n, (u, v) is a tree edge, the graph rows of u and v
     mirror (each entry is in range and lists that root back), (u, v) is
     missing from g, ``build_witness`` takes the ``_split`` at (u, v) as a
-    stall (its hooks and bridges disjoint on each side, so no exchange is
-    walked here) and makes ``w`` of it in every field, and each inequality
-    of the chain holds.
+    stall (hooks and bridges disjoint on each side; no exchange is walked)
+    and makes ``w`` of it in every field, r too (the tree's largest
+    degree, at least 2), and each inequality of the chain holds.
     """
     n, rows, adj = g.n, g.adjacency, w.tree.adjacency
-    if w.tree.n != n or w.r < 2 or not 0 <= w.u < w.v < n or tree_defect(w.tree) is not None:
+    if w.tree.n != n or not 0 <= w.u < w.v < n or tree_defect(w.tree) is not None:
         return False
     if not _row_has(adj[w.u], w.v) or (f := _split(adj, w.u, w.v)) is None:
         return False
     if not all(0 <= x < n and _row_has(rows[x], z) for z in (w.u, w.v) for x in rows[z]):
         return False
     try:
-        rebuilt = build_witness(g, w.tree, f, w.r)
+        rebuilt = build_witness(g, w.tree, f)
     except ValueError:
         return False
     return not _row_has(rows[w.u], w.v) and rebuilt == w and all(i.holds for i in w.chain)
@@ -438,7 +431,7 @@ def _reroot(parent: list[int], x: int) -> None:
     parent[x] = prev
 
 
-def _check_kept(f: RootedForest | None, parent: list[int], p: int, c: int) -> None:
+def _check_kept(f: RootedForest | None, parent: list[int], c: int) -> None:
     """Raise SolverInvariantError unless the split ``f`` at (p, c) orients the tree as
     ``parent``, which is rooted at p."""
     if f is None or f.parent != (*parent[:c], c, *parent[c + 1:]):
@@ -460,7 +453,6 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
     """
     if g.n != seq.n:
         raise ValueError(f"graph order {g.n} != sequence length {seq.n}")
-    r = max(2, seq.max_degree)
     rows = g.adjacency
     adj: list[list[int]] = [[] for _ in range(g.n)]
     parent = list(range(g.n))
@@ -493,11 +485,11 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
         # each root is on its own side, so it is a bridge iff the other root sees it
         if _row_has(rows[v], u) or _row_has(rows[u], v):
             raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
-        x = (_exchange(g, "u", u, v, stamp, tag, u == c, parent, adj)
-             or _exchange(g, "v", v, u, stamp, tag, v == c, parent, adj))
+        x = (_exchange(g, u, v, stamp, tag, parent, adj)
+             or _exchange(g, v, u, stamp, tag, parent, adj))
         if x is None:
-            _check_kept(f := _split(adj, u, v), parent, p, c)
-            witness = build_witness(g, _tree_of(adj), f, r)
+            _check_kept(f := _split(adj, u, v), parent, c)
+            witness = build_witness(g, _tree_of(adj), f)
             return SolveResult(tree=None, witness=witness, steps=tuple(steps))
         for a, b in (x.add_1, x.add_2):
             if not _row_has(rows[a], b):
@@ -520,7 +512,7 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
             missing.remove(drop_tree)
         steps.append(ExchangeStep(exchange=x, phi_after=len(missing)))
     if steps:
-        _check_kept(_split(adj, p, adj[p][0]), parent, p, adj[p][0])
+        _check_kept(_split(adj, p, adj[p][0]), parent, adj[p][0])
     return SolveResult(tree=_tree_of(adj), witness=None, steps=tuple(steps))
 
 
@@ -599,8 +591,8 @@ def compute_cut_sets(g: LabelledGraph, f: RootedForest) -> CutAnalysis:
     u, v = f.side_u[0], f.side_v[0]
     if _row_has(g.adjacency[v], u) and not _row_has(g.adjacency[u], v):
         raise SolverInvariantError(f"a root is a bridge across the missing edge ({u}, {v})")
-    hooks_u, bridges_u, same_u = _select(g, u, v, f.side_u, f.parent)
-    hooks_v, bridges_v, same_v = _select(g, v, u, f.side_v, f.parent)
+    hooks_u, bridges_u, same_u = _select(g, v, f.side_u, f.parent)
+    hooks_v, bridges_v, same_v = _select(g, u, f.side_v, f.parent)
     return CutAnalysis(hooks_u, bridges_u, hooks_v, bridges_v, len(same_u), len(same_v))
 
 

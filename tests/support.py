@@ -211,14 +211,13 @@ def reference_find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> Solve
     def missing(t: LabelledTree) -> list[tuple[int, int]]:
         return [e for e in t.edges if not g.are_adjacent(*e)]
 
-    r = max(2, seq.max_degree)
     t = realize_tree(seq)
     steps: list[ExchangeStep] = []
     while edges := missing(t):
         f = reference_split(t, *edges[0])
         x = reference_exchange(g, f)
         if x is None:
-            witness = build_witness(g, t, f, r)
+            witness = build_witness(g, t, f)
             return SolveResult(tree=None, witness=witness, steps=tuple(steps))
         t = reference_rewire(t, x)
         steps.append(ExchangeStep(exchange=x, phi_after=len(missing(t))))

@@ -13,6 +13,7 @@ from degspan import (
     extremal_worst_sum,
     find_spanning_tree,
     min_nonadjacent_degree_sum,
+    random_condition_graph,
     validate_degree_sequence,
     verify_tree,
 )
@@ -37,6 +38,23 @@ class TestThreshold:
             degree_sum_threshold(3, 3)
         with pytest.raises(ValueError):
             degree_sum_threshold(4, 4)
+
+    def test_integral_values_read_as_ints(self):
+        assert degree_sum_threshold(5.0, 3) == degree_sum_threshold(5, 3.0) == 7
+        g = random_condition_graph(12, 3, 1)
+        report = check_condition(g, 3.0)
+        assert report == check_condition(g, 3) and type(report.r) is int
+        assert random_condition_graph(12.0, 3, 1) == g
+
+    def test_non_integer_n_or_r_is_refused(self):
+        with pytest.raises(ValueError, match=r"^n = 5\.5 is not an integer$"):
+            degree_sum_threshold(5.5, 3)
+        with pytest.raises(ValueError, match=r"^r = 2\.5 is not an integer$"):
+            check_condition(path_graph(3), 2.5)
+        with pytest.raises(ValueError, match=r"^r = '3' is not an integer$"):
+            degree_sum_threshold(5, "3")
+        with pytest.raises(ValueError, match=r"^n = 12\.5 is not an integer$"):
+            random_condition_graph(12.5, 3, 1)
 
     def test_r3_closed_form_identity(self):
         # ((2r-3)n - (2r-5)) / (r-1) collapses to (3n-1)/2 at r = 3.

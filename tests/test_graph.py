@@ -377,6 +377,7 @@ def _parsed(parse, text):
 @example("12\n1 2\n1 2 3\n")
 @example("12\n7 1\n007 1\n# 7\n1 7\n7 1\n1\xa07\n")
 @example("9\r\n00 1\r\n0 1\x1f\x85 1  00 \x1c1\u30000\n")
+@example("# 0\r\r\n0 1\n")
 def test_parse_agrees_with_the_per_line_reference(text):
     assert _parsed(parse_graph, text) == _parsed(reference_parse_graph, text)
 
@@ -548,6 +549,20 @@ class TestAdjacency:
             g.are_adjacent(-1, 7)  # the first endpoint is checked first
         with pytest.raises(IndexError, match=r"^vertex 5 out of range for n=3$"):
             g.degree(5)
+
+    def test_vertices_follow_the_integer_rule(self):
+        g = path_graph(3)
+        assert g.degree(1.0) == 2 and g.degree(True) == 2
+        assert g.are_adjacent(0, 1.0) and not g.are_adjacent(2.0, 0)
+        for bad in (0.5, "1", None):
+            with pytest.raises(ValueError, match=rf"^vertex = {bad!r} is not an integer$"):
+                g.are_adjacent(0, bad)
+            with pytest.raises(ValueError, match=rf"^vertex = {bad!r} is not an integer$"):
+                g.degree(bad)
+        with pytest.raises(ValueError, match=r"^vertex = 0\.5 is not an integer$"):
+            g.are_adjacent(0.5, 7)  # the first endpoint is checked first
+        with pytest.raises(IndexError, match=r"^vertex 3 out of range for n=3$"):
+            g.degree(3.0)
 
     def test_is_complete(self):
         for n in (2, 3, 5):

@@ -168,7 +168,7 @@ class TestComputeCutSets:
         c = compute_cut_sets(g, f)
         assert c.hooks_u & c.bridges_u == frozenset()
         assert c.hooks_v & c.bridges_v == frozenset()
-        assert build_witness(g, t, f, 3) == find_spanning_tree(g, seq).witness
+        assert build_witness(g, t, f) == find_spanning_tree(g, seq).witness
         assert c.hooks_u == frozenset({0})
         assert c.bridges_u == frozenset({2, 3})
 
@@ -356,7 +356,8 @@ class TestFindSpanningTree:
         exchange = degspan.solver._exchange
         calls = []
         monkeypatch.setattr(degspan.solver, "_exchange",
-                            lambda *args: calls.append(args[1]) or exchange(*args))
+                            lambda *args: calls.append("u" if args[1] < args[2] else "v")
+                            or exchange(*args))
         g, seq = build_extremal(1, 3)
         w = find_spanning_tree(g, seq).witness
         assert calls == ["u", "v"]
@@ -437,8 +438,7 @@ class TestFindSpanningTree:
             else:
                 w = res.witness
                 f = orient_forest(t, w.u, w.v)
-                r = max(2, seq.max_degree)
-                assert build_witness(g, t, f, r) == w
+                assert build_witness(g, t, f) == w
                 assert validate_witness(g, w)
             outcomes.append(res.ok)
         assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
@@ -485,17 +485,17 @@ class TestCutSetsReference:
     @settings(max_examples=150, deadline=None)
     def test_cut_sets_match_the_reference_at_every_tree_edge(self, case):
         g, seq = case
-        t, r = realize_tree(seq), max(2, seq.max_degree)
+        t = realize_tree(seq)
         for u, v in t.edges:
             f = orient_forest(t, u, v)
             c = compute_cut_sets(g, f)
             assert c == reference_cut_sets(g, f)
             # build_witness refuses exactly the splits that have an exchange
             if reference_exchange(g, f) is None:
-                build_witness(g, t, f, r)
+                build_witness(g, t, f)
             else:
                 with pytest.raises(ValueError, match="an exchange is available; nothing to witness"):
-                    build_witness(g, t, f, r)
+                    build_witness(g, t, f)
 
     def test_loop_takes_the_reference_candidate(self):
         for g, seq, t, step in _exchange_states():
@@ -504,7 +504,7 @@ class TestCutSetsReference:
             if step is None:
                 assert x is None
                 w = find_spanning_tree(g, seq).witness
-                assert build_witness(g, t, f, max(2, seq.max_degree)) == w
+                assert build_witness(g, t, f) == w
             else:
                 assert x == step.exchange
 
@@ -517,7 +517,7 @@ class TestCutSetsReference:
                 c = reference_cut_sets(g, f)
                 if c.hooks_u & c.bridges_u or c.hooks_v & c.bridges_v:
                     continue
-                w = build_witness(g, t, f, max(2, seq.max_degree))
+                w = build_witness(g, t, f)
                 assert (w.hooks_u, w.bridges_u, w.hooks_v, w.bridges_v,
                         w.u_nbrs_same, w.v_nbrs_same) == (
                     len(c.hooks_u), len(c.bridges_u), len(c.hooks_v), len(c.bridges_v),
@@ -550,8 +550,8 @@ def _walks(g, t, u, v):
     for x in side_v:
         stamp[x] = 5
     walks = {
-        side: degspan.solver._exchange(g, side, near, far, stamp, 5, inside, loop_parent, adj)
-        for side, near, far, inside in (("u", u, v, False), ("v", v, u, True))
+        side: degspan.solver._exchange(g, near, far, stamp, 5, loop_parent, adj)
+        for side, near, far in (("u", u, v), ("v", v, u))
     }
     return orient_forest(t, u, v), walks
 
@@ -591,12 +591,13 @@ def _checked_exchange(monkeypatch):
     exchange, split = degspan.solver._exchange, degspan.solver._split
     calls = []
 
-    def checked(g, side, near, far, label, tag, inside, parent, adj):
+    def checked(g, near, far, label, tag, parent, adj):
         fresh_side, _, fresh_parent = split(adj, near, far)
+        inside = label[near] == tag
         assert sorted(x for x, s in enumerate(label) if (s == tag) == inside) == sorted(fresh_side)
         assert all(parent[x] == fresh_parent[x] for x in fresh_side if x != near)
-        calls.append(side)
-        return exchange(g, side, near, far, label, tag, inside, parent, adj)
+        calls.append(near)
+        return exchange(g, near, far, label, tag, parent, adj)
 
     monkeypatch.setattr(degspan.solver, "_exchange", checked)
     return calls
@@ -774,7 +775,7 @@ class TestWitness:
         c = compute_cut_sets(g, f)
         assert c.hooks_u & c.bridges_u
         with pytest.raises(ValueError):
-            build_witness(g, t, f, r=2)
+            build_witness(g, t, f)
 
     @pytest.mark.parametrize("field, change", [
         *((field, delta) for field in WITNESS_COUNTS for delta in (1, -1)),
@@ -787,6 +788,17 @@ class TestWitness:
         value = getattr(w, field)
         tampered = w._replace(**{field: not value if change is None else value + change})
         assert validate_witness(g, tampered) is False
+
+    @pytest.mark.parametrize("r", [4, 5, 10])
+    def test_witness_whose_r_exceeds_its_trees_largest_degree_fails_validation(self, r):
+        # the chain rebuilt for the larger r still holds; r must be the tree's cap, here 3
+        g, seq = build_extremal(1, 3)
+        w = find_spanning_tree(g, seq).witness
+        counts = [(w.size_u, w.hooks_u, w.bridges_u, w.u_nbrs_same),
+                  (w.size_v, w.hooks_v, w.bridges_v, w.v_nbrs_same)]
+        chain = degspan.solver._witness_chain(r, counts, g.degree(w.u), g.degree(w.v))
+        assert w.r == 3 and all(i.holds for i in chain)
+        assert not validate_witness(g, w._replace(r=r, chain=chain))
 
     def test_witness_of_another_pair_or_graph_fails_validation(self):
         g, seq = build_extremal(1, 3)
@@ -802,7 +814,7 @@ class TestWitness:
         g4 = LabelledGraph.from_edges(4, [(0, 1), (1, 3), (2, 3)])
         cyclic = LabelledTree.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
         f = orient_forest(cyclic, 0, 2)
-        forged = build_witness(g4, cyclic, f, r=3)
+        forged = build_witness(g4, cyclic, f)
         assert not validate_witness(g4, forged)
 
     @pytest.mark.parametrize("row, bad", [((1, 2, 3, 4, 99), 99), ((-1, 1, 2, 3, 4), -1)])
