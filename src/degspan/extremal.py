@@ -8,7 +8,7 @@ span the disconnected X-Y part alone, so no tree qualifies, yet every
 non-adjacent pair sits only 1/(r-1) below the threshold.
 """
 
-from .graph import MAX_GENERATED_N, LabelledGraph
+from .graph import MAX_GENERATED_N, LabelledGraph, _named_int
 from .sequences import DegreeSequence, validate_degree_sequence
 
 __all__ = ["build_extremal", "extremal_worst_sum", "extremal_order"]
@@ -16,18 +16,21 @@ __all__ = ["build_extremal", "extremal_worst_sum", "extremal_order"]
 
 def extremal_order(k: int, r: int) -> int:
     """Vertex count 2k(r-1) + 2 of the (k, r) family member, at most MAX_GENERATED_N."""
-    _check_params(k, r)
+    k, r = _check_params(k, r)
     n = 2 * k * (r - 1) + 2
     if n > MAX_GENERATED_N:
         raise ValueError(f"order {n} (k={k}, r={r}) exceeds the generator limit {MAX_GENERATED_N}")
     return n
 
 
-def _check_params(k: int, r: int) -> None:
+def _check_params(k: int, r: int) -> tuple[int, int]:
+    """k >= 1 and r >= 3, each read by ``_named_int``'s rule (so 1.0 reads as 1)."""
+    k, r = _named_int("k", k), _named_int("r", r)
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if r < 3:
         raise ValueError(f"need r >= 3, got {r}")
+    return k, r
 
 
 def build_extremal(k: int, r: int) -> tuple[LabelledGraph, DegreeSequence]:
@@ -39,6 +42,7 @@ def build_extremal(k: int, r: int) -> tuple[LabelledGraph, DegreeSequence]:
     Each sorted neighbour tuple is cut from one tuple of all vertices:
     everything but v itself, and for X and Y also the other group.
     """
+    k, r = _check_params(k, r)
     n = extremal_order(k, r)
     ids = tuple(range(n))
     adjacency = (
@@ -57,5 +61,5 @@ def extremal_worst_sum(k: int, r: int) -> int:
     degree (k-1) + (2k(r-2)+2); the sum lands exactly 1/(r-1) below the
     threshold at order 2k(r-1) + 2.
     """
-    _check_params(k, r)
+    k, r = _check_params(k, r)
     return 2 * ((k - 1) + (2 * k * (r - 2) + 2))

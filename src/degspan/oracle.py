@@ -5,8 +5,10 @@ distinct rearrangements of the code word holding vertex i exactly
 d_i - 1 times, so walking those rearrangements in lexicographic order
 visits every such tree exactly once.  Containment in a host graph is
 then a per-edge check as the word decodes, aborted at the first missing
-edge.  Each edge is tested by bisection in the graph's own ascending
-adjacency rows.
+edge.  The walk runs ``prufer_edges``' smallest-leaf decode inline, on
+one degree list per word, and tests each edge as it forms by bisection
+in the graph's own ascending adjacency rows, so a word costs no
+generator or decoder set-up.
 """
 
 from bisect import bisect_left
@@ -91,17 +93,28 @@ def _contained_trees(g: LabelledGraph, seq: DegreeSequence, budget: int) -> Iter
     if total is None or total > budget:
         raise OracleBudgetError(total, budget, log_total / log(10))
     adjacency = g.adjacency
+    first, last = degrees.index(1), n - 1
     word = list(canonical_word(seq))
     more = True
     while more:
-        # The decoder names only vertices in [0, n), so no bounds check.
-        for u, v in prufer_edges(word, degrees):
-            row = adjacency[u]
-            i = bisect_left(row, v)
-            if i == len(row) or row[i] != v:
+        # prufer_edges' decode, inline; it names only vertices in [0, n), so no bounds check.
+        degree = list(degrees)
+        leaf = nxt = first
+        for w in word:
+            row = adjacency[leaf]
+            i = bisect_left(row, w)
+            if i == len(row) or row[i] != w:
                 break
+            degree[w] -= 1
+            if degree[w] == 1 and w < nxt:
+                leaf = w
+            else:
+                leaf = nxt = degree.index(1, nxt + 1)
         else:
-            yield word
+            row = adjacency[leaf]
+            i = bisect_left(row, last)
+            if i < len(row) and row[i] == last:
+                yield word
         more = _next_permutation(word)
 
 

@@ -119,7 +119,7 @@ def prufer_edges(word: Sequence[int], degrees: Sequence[int]) -> Iterator[Edge]:
     Decoding joins the smallest current leaf to each word entry in turn,
     then the last leaf to n - 1.  Each edge ``(leaf, w)`` hangs the leaf
     from w in the tree rooted at n - 1, in which every vertex but n - 1 is
-    a leaf exactly once.  A caller that stops early forms no later edge.
+    a leaf exactly once.  The oracle's walk runs this rule inline.
 
     Linear time, with no heap: ``nxt`` only moves up, because a vertex
     that becomes a leaf below it is used at once as the next leaf.
@@ -174,8 +174,11 @@ def random_degree_sequence(n: int, r: int, rng: random.Random) -> DegreeSequence
 
     Starts from all ones and spreads the remaining n - 2 degree units over
     positions still below the cap.  Coverage of degree patterns matters
-    here, not uniformity over sequences.
+    here, not uniformity over sequences.  n and r follow
+    ``validate_degree_sequence``'s integer rule: 5.0 reads as 5, and 5.5
+    raises a ValueError naming it.
     """
+    n, r = _named_int("n", n), _named_int("r", r)
     if n < 2:
         raise ValueError("need n >= 2")
     if n > 2 and r < 2:

@@ -76,6 +76,23 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_extremal(1, 2)
 
+    def test_integral_values_read_as_ints(self):
+        assert build_extremal(1.0, 3.0) == build_extremal(1, 3)
+        for k, r in ((1.0, 3), (1, 3.0), (2.0, 4.0)):
+            assert extremal_order(k, r) == extremal_order(int(k), int(r))
+            assert type(extremal_order(k, r)) is int
+            assert extremal_worst_sum(k, r) == extremal_worst_sum(int(k), int(r))
+            assert type(extremal_worst_sum(k, r)) is int
+
+    @pytest.mark.parametrize("f", [build_extremal, extremal_order, extremal_worst_sum])
+    def test_non_integer_k_or_r_is_refused(self, f):
+        with pytest.raises(ValueError, match=r"^k = 1\.5 is not an integer$"):
+            f(1.5, 3)
+        with pytest.raises(ValueError, match=r"^r = 3\.5 is not an integer$"):
+            f(1, 3.5)
+        with pytest.raises(ValueError, match=r"^r = '3' is not an integer$"):
+            f(1, "3")
+
 
 class TestWorstSum:
     def test_closed_forms(self):

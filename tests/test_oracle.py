@@ -205,7 +205,7 @@ class TestOracleReference:
         assert oracle_count(g, seq) == len(contained)
         assert oracle_find(g, seq) == (contained[0] if contained else None)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_graph_and_sequence(self, n):
         for g in all_labelled_graphs(n):
             for degrees in all_degree_sequences(n, n - 1):
@@ -266,15 +266,15 @@ class TestOracleStopsAtFirstMissingEdge:
             yield LabelledGraph.from_edges(n, pairs), random_degree_sequence(n, 3, rng)
 
     def test_edges_pulled_per_word(self, monkeypatch):
-        decode = degspan.oracle.prufer_edges
+        """The walk's edge tests, one bisection each, counted by wrapping its ``bisect_left``."""
+        bisect = degspan.oracle.bisect_left
         pulled = [0]
 
-        def counting(word, degrees):
-            for e in decode(word, degrees):
-                pulled[0] += 1
-                yield e
+        def counting(row, v):
+            pulled[0] += 1
+            return bisect(row, v)
 
-        monkeypatch.setattr(degspan.oracle, "prufer_edges", counting)
+        monkeypatch.setattr(degspan.oracle, "bisect_left", counting)
         for g, seq in self.cases():
             pulled[0] = 0
             oracle_count(g, seq)

@@ -354,3 +354,17 @@ class TestRandomSequence:
     def test_rejects_impossible_cap(self):
         with pytest.raises(ValueError):
             random_degree_sequence(5, 1, random.Random(0))
+
+    def test_integral_values_read_as_ints(self):
+        seq = random_degree_sequence(5.0, 3.0, random.Random(4))
+        assert seq == random_degree_sequence(5, 3, random.Random(4))
+        assert all(type(d) is int for d in seq.degrees)
+
+    def test_non_integer_n_or_r_is_refused(self):
+        with pytest.raises(ValueError, match=r"^n = 5\.5 is not an integer$"):
+            random_degree_sequence(5.5, 3, random.Random(0))
+        with pytest.raises(ValueError, match=r"^n = '5' is not an integer$"):
+            random_degree_sequence("5", 3, random.Random(0))
+        # a float cap never equals a degree, so it would go unenforced
+        with pytest.raises(ValueError, match=r"^r = 2\.5 is not an integer$"):
+            random_degree_sequence(12, 2.5, random.Random(1))
