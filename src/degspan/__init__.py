@@ -33,7 +33,6 @@ from .sequences import (
     SequenceError,
     canonical_word,
     parse_sequence_literal,
-    prufer_decode,
     random_degree_sequence,
     realize_tree,
     validate_degree_sequence,
@@ -84,7 +83,6 @@ __all__ = [
     "oracle_find",
     "parse_graph",
     "parse_sequence_literal",
-    "prufer_decode",
     "random_condition_graph",
     "random_degree_sequence",
     "realize_tree",

@@ -12,7 +12,8 @@ from typing import Any, NamedTuple
 from .condition import check_condition
 from .extremal import build_extremal, extremal_worst_sum
 from .graph import (
-    MAX_GENERATED_N, LabelledGraph, parse_graph, random_condition_graph, serialize_graph,
+    MAX_GENERATED_N, LabelledGraph, _named_int, parse_graph, random_condition_graph,
+    serialize_graph,
 )
 from .oracle import DEFAULT_BUDGET, OracleBudgetError, count_trees, oracle_count, oracle_find
 from .sequences import DegreeSequence, parse_sequence_literal, random_degree_sequence, realize_tree
@@ -174,8 +175,11 @@ def run_batch(
 
     Every instance draws a graph from random_condition_graph and a random
     valid sequence capped at r, so each solve is in the guaranteed regime
-    and any stall or failed verification is recorded as a failure.
+    and any stall or failed verification is recorded as a failure.  The
+    five integer arguments follow ``_named_int``'s rule: 3.0 reads as 3.
     """
+    n_min, n_max, r = _named_int("n_min", n_min), _named_int("n_max", n_max), _named_int("r", r)
+    count, base_seed = _named_int("count", count), _named_int("base_seed", base_seed)
     if n_min > n_max:
         raise ValueError(f"empty order range [{n_min}, {n_max}]")
     if count < 0:

@@ -340,13 +340,14 @@ def random_condition_graph(n: int, r: int, seed: int) -> LabelledGraph:
     Starts from a random graph, then makes one repair sweep over vertex
     pairs, adding the edge wherever a non-adjacent pair falls below the
     bound.  Degrees only grow during the sweep, so a pair that meets the
-    bound when visited still meets it at the end.  Deterministic in seed.
+    bound when visited still meets it at the end.  Deterministic in seed,
+    which follows ``_named_int``'s integer rule, like n and r.
     One ``bytearray`` row per vertex holds the graph in about n^2 bytes;
     ``_freeze_rows`` turns them into neighbour tuples.
     """
     from .condition import degree_sum_threshold
 
-    n, r = _named_int("n", n), _named_int("r", r)
+    n, r, seed = _named_int("n", n), _named_int("r", r), _named_int("seed", seed)
     if not 4 <= n <= MAX_GENERATED_N:
         raise ValueError(f"need 4 <= n <= generator limit {MAX_GENERATED_N}, got {n}")
     if r < 2:

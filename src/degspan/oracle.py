@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from math import factorial, fsum, lgamma, log, perm, prod
 
-from .graph import LabelledGraph
+from .graph import LabelledGraph, _named_int
 from .sequences import DegreeSequence, canonical_word, prufer_edges
 from .tree import LabelledTree
 
@@ -76,16 +76,17 @@ def _next_permutation(a: list[int]) -> bool:
 def _contained_trees(g: LabelledGraph, seq: DegreeSequence, budget: int) -> Iterator[list[int]]:
     """Code words of the trees with this degree vector that lie inside g.
 
-    Checks the instance before decoding any word, then walks the words in
-    lexicographic order, stops decoding each at its first edge missing
-    from g, and yields each contained word.  The yielded list is the walk's
-    own, so it holds that word only until the walk resumes.  The log of
-    ``count_trees(seq)``, lgamma(n - 1) - sum(lgamma(d_i)), is off by far
-    less than 1, so an estimate over log(budget) + 1 is refused without the
-    exact count: its factorials take seconds at large n, and it may have
-    too many digits to print.  Otherwise the exact count decides.
+    Checks the instance and ``budget``, an integer by ``_named_int``'s rule,
+    before decoding any word, then walks the words in lexicographic order,
+    stops decoding each at its first edge missing from g, and yields each
+    contained word.  The yielded list is the walk's own, so it holds that
+    word only until the walk resumes.  The log of ``count_trees(seq)``,
+    lgamma(n - 1) - sum(lgamma(d_i)), is off by far less than 1, so an
+    estimate over log(budget) + 1 is refused without the exact count: its
+    factorials take seconds at large n, and it may have too many digits to
+    print.  Otherwise the exact count decides.
     """
-    n, degrees = seq.n, seq.degrees
+    n, degrees, budget = seq.n, seq.degrees, _named_int("budget", budget)
     if g.n != n:
         raise ValueError(f"graph order {g.n} != sequence length {n}")
     log_total = lgamma(n - 1) - fsum(map(lgamma, degrees))

@@ -19,7 +19,6 @@ __all__ = [
     "validate_degree_sequence",
     "parse_sequence_literal",
     "canonical_word",
-    "prufer_decode",
     "prufer_edges",
     "realize_tree",
     "random_degree_sequence",
@@ -47,10 +46,6 @@ class DegreeSequence(NamedTuple):
     @property
     def n(self) -> int:
         return len(self.degrees)
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.degrees)
 
 
 def validate_degree_sequence(degrees: Iterable[int]) -> DegreeSequence:
@@ -134,30 +129,6 @@ def prufer_edges(word: Sequence[int], degrees: Sequence[int]) -> Iterator[Edge]:
         else:
             leaf = nxt = degree.index(1, nxt + 1)
     yield leaf, len(degree) - 1
-
-
-def prufer_decode(word: Sequence[int], n: int) -> LabelledTree:
-    """Unique labelled tree on n vertices whose code is ``word``.
-
-    ``n`` and each entry follow ``validate_degree_sequence``'s rule: x is
-    read as ``int(x)`` when that equals x (so 1.0 reads as 1), and is
-    otherwise refused with a ValueError naming it.
-    """
-    n = _named_int("n", n)
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if len(word) != n - 2:
-        raise ValueError(f"word length {len(word)} != n - 2 = {n - 2}")
-    ws = word if all(type(w) is int for w in word) else tuple(map(_int_or_none, word))
-    for i, (x, w) in enumerate(zip(word, ws)):
-        if w is None:
-            raise ValueError(f"word entry {x!r} at position {i} is not an integer")
-        if not (0 <= w < n):
-            raise ValueError(f"word entry {w} out of range [0, {n})")
-    degrees = [1] * n
-    for w in ws:
-        degrees[w] += 1
-    return LabelledTree.from_edges(n, prufer_edges(ws, degrees))
 
 
 def realize_tree(seq: DegreeSequence) -> LabelledTree:

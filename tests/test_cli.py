@@ -482,6 +482,23 @@ class TestBatch:
         b = run_batch(8, 12, 3, 5, base_seed=3)
         assert a == b
 
+    @pytest.mark.parametrize("args, name", [
+        ((4, 6, 3, None), "count = None"),
+        ((4, 6, 3, "3"), "count = '3'"),
+        ((4, 6, 3, 2.5), "count = 2.5"),
+        ((4.5, 6, 3, 2), "n_min = 4.5"),
+        ((4, 6.5, 3, 2), "n_max = 6.5"),
+        ((5, 6, 3.5, 2), "r = 3.5"),
+        ((4, 6, 3, 2, 1.5), "base_seed = 1.5"),
+    ])
+    def test_run_batch_refuses_non_integral_arguments(self, args, name):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} is not an integer$"):
+            run_batch(*args)
+
+    def test_run_batch_reads_integral_arguments_as_ints(self):
+        assert run_batch(8.0, 12.0, 3.0, 2.0, base_seed=3.0) == run_batch(8, 12, 3, 2, base_seed=3)
+        assert type(run_batch(4, 6, 3, 2.0).instances) is int
+
     def test_summary_json_rebuilds_the_summary(self):
         s = run_batch(8, 12, 3, 5, base_seed=3)
         assert s.instances == 5

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -735,6 +736,14 @@ class TestRandomConditionGraph:
         a = random_condition_graph(12, 3, seed=7)
         b = random_condition_graph(12, 3, seed=7)
         assert a == b
+
+    def test_seed_follows_the_integer_rule(self):
+        # Random(None) seeds from system entropy, so the graph would differ on each call
+        for seed in (None, 1.5, "7"):
+            message = rf"^seed = {re.escape(repr(seed))} is not an integer$"
+            with pytest.raises(ValueError, match=message):
+                random_condition_graph(12, 3, seed)
+        assert random_condition_graph(12, 3, 7.0) == random_condition_graph(12, 3, seed=7)
 
     def test_different_seeds_usually_differ(self):
         outputs = {random_condition_graph(15, 3, seed=s).edges for s in range(6)}

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import time
 
 import pytest
@@ -16,7 +17,6 @@ from degspan import (
     count_trees,
     oracle_count,
     oracle_find,
-    prufer_decode,
     random_degree_sequence,
     validate_degree_sequence,
 )
@@ -93,7 +93,8 @@ class TestCayleyCompleteness:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_enumeration_covers_every_labelled_tree(self, n):
         everything = {
-            prufer_decode(w, n).edges for w in itertools.product(range(n), repeat=n - 2)
+            LabelledTree.from_edges(n, reference_prufer_edges(w, n)).edges
+            for w in itertools.product(range(n), repeat=n - 2)
         }
         enumerated = set()
         for s in all_degree_sequences(n, n - 1):
@@ -153,6 +154,22 @@ class TestOracleFind:
         assert exc.value.total == 24
         with pytest.raises(OracleBudgetError):
             oracle_count(complete_graph(6), seq, budget=0)
+
+    @pytest.mark.parametrize("oracle", [oracle_find, oracle_count])
+    @pytest.mark.parametrize("budget", [None, 2.5, "24", float("nan")])
+    def test_budget_follows_the_integer_rule(self, oracle, budget):
+        seq = validate_degree_sequence([2, 2, 2, 2, 1, 1])
+        message = rf"^budget = {re.escape(repr(budget))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            oracle(complete_graph(6), seq, budget=budget)
+
+    def test_integral_budget_reads_as_int(self):
+        seq = validate_degree_sequence([2, 2, 2, 2, 1, 1])
+        assert oracle_count(complete_graph(6), seq, budget=24.0) == 24
+        with pytest.raises(OracleBudgetError) as exc:
+            oracle_find(complete_graph(6), seq, budget=23.0)
+        assert type(exc.value.budget) is int
+        assert str(exc.value).endswith("24 candidate trees exceed the budget of 23")
 
     def test_found_tree_is_contained(self):
         g, _ = build_extremal(2, 3)

@@ -24,7 +24,6 @@ from degspan import (
     check_condition,
     find_spanning_tree,
     oracle_find,
-    prufer_decode,
     random_condition_graph,
     random_degree_sequence,
     realize_tree,
@@ -45,6 +44,7 @@ from degspan.tree import tree_defect
 from support import (
     complete_graph,
     cycle_graph,
+    decode,
     dense_host,
     graph_with_sequence,
     graphs,
@@ -133,7 +133,7 @@ class TestOrientForest:
     @given(prufer_words(max_n=12))
     def test_drawn_trees_split_into_two_rooted_sides(self, case):
         n, word = case
-        t = prufer_decode(word, n)
+        t = decode(word, n)
         for u, v in t.edges:  # u < v
             f = orient_forest(t, u, v)
             assert f == orient_forest(t, v, u) == degspan.solver._split(t.adjacency, u, v)
