@@ -17,7 +17,7 @@ from .graph import (
 )
 from .oracle import DEFAULT_BUDGET, OracleBudgetError, count_trees, oracle_count, oracle_find
 from .sequences import DegreeSequence, parse_sequence_literal, random_degree_sequence, realize_tree
-from .solver import SolverInvariantError, find_spanning_tree, verify_tree
+from .solver import SolverInvariantError, find_spanning_tree, validate_witness, verify_tree
 
 __all__ = ["main", "entrypoint", "run_batch", "BatchSummary"]
 
@@ -56,6 +56,8 @@ def _cmd_solve(args: argparse.Namespace) -> Report:
         }
         return Report(payload, serialize_graph(t), 0)
     w = result.witness
+    if not validate_witness(g, w):
+        raise SolverInvariantError("solver emitted a witness that fails validate_witness")
     witness = w.to_json_dict()
     counts = [f"{key}={value}" for key, value in witness["counts"].items()]
     final = w.chain[-1]

@@ -1,7 +1,7 @@
 """Labelled simple graphs: parsing, serialization, degree queries, random ensembles."""
 
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Iterable
 from itertools import compress
 from math import ceil
@@ -280,58 +280,37 @@ def min_nonadjacent_degree_sum(g: LabelledGraph) -> tuple[Edge, int] | None:
     """Non-adjacent pair minimizing deg(u) + deg(v), with that sum.
 
     Ties break to the lexicographically smallest pair; returns None when
-    the graph is complete (no non-adjacent pair exists).
+    the graph is complete.  A pair is adjacent only when both rows list it.
 
-    Two passes over per-degree buckets (each holding its vertices in index
-    order) replace a scan of all n^2 pairs:
-
-    1. The minimum sum S.  Visit u in ascending degree order and pair it
-       with the first vertex in that order that is neither u nor one of
-       its neighbours; at most deg(u) + 1 vertices are skipped.  Stop once
-       2 deg(u) reaches the best sum so far.  The early stop is sound: a
-       pair with an endpoint already visited was covered from that
-       endpoint, whose partner had the least degree it could have; a pair
-       of two unvisited vertices sums to at least 2 deg(u).
-    2. The pair.  Visit u in index order and look for the smallest v > u
-       in the bucket of degree S - deg(u) that is not a neighbour of u:
-       bisect past u, then skip neighbours, at most deg(u) of them.  The
-       first u that has such a v gives the lexicographically first pair.
-
-    Pass 1 costs O(n + m).  Pass 2 costs one bisection per vertex and per
-    skipped neighbour, so O(n log n) when few neighbours are skipped and
-    O((n + m) log n) at worst.  Sums are exact integers.
+    One pass visits u in ascending (degree, index) order, pairs it with the
+    first vertex in that order that is neither u nor adjacent to it, and
+    keeps the least (sum, smaller end, larger end).  Any other partner of u
+    with the same sum has that degree and a larger index, so it makes a
+    larger pair: the first worst pair is found from whichever of its ends
+    comes first.  The pass stops at the first u of degree n - 1, or whose
+    2 deg(u) exceeds the best sum, or equals it while the best pair starts
+    before u, since a later pair of that sum joins two vertices of u's
+    degree at or after u.  Each u skips at most deg(u) vertices, two
+    bisections each: O((n + m) log n) at worst.  Sums are exact integers.
     """
     adjacency = g.adjacency
-    n = g.n
-    degree = [len(nbrs) for nbrs in adjacency]
-    buckets: list[list[int]] = [[] for _ in range(n)]
-    for v, d in enumerate(degree):
-        buckets[d].append(v)
-    order = [v for bucket in buckets for v in bucket]
-    best = 2 * n  # above every degree sum
+    n = len(adjacency)
+    degree = [len(row) for row in adjacency]
+    order = sorted(range(n), key=degree.__getitem__)
+    best = (2 * n, n, n)  # above every (sum, smaller end, larger end)
     for u in order:
         du = degree[u]
-        if 2 * du >= best:
+        if du == n - 1 or 2 * du > best[0] or 2 * du == best[0] and best[1] < u:
             break
-        nbrs = set(adjacency[u])
+        row = adjacency[u]
         for w in order:
-            if w != u and w not in nbrs:
-                best = min(best, du + degree[w])
+            if w != u and not (_row_has(row, w) and _row_has(adjacency[w], u)):
+                best = min(best, (du + degree[w], *normalized_edge(u, w)))
                 break
-    if best == 2 * n:
+    if best[1] == n:
         return None
-    for u in range(n):
-        target = best - degree[u]
-        if not 0 <= target < n:
-            continue
-        bucket, nbrs = buckets[target], adjacency[u]
-        j = 0
-        for i in range(bisect_right(bucket, u), len(bucket)):
-            v = bucket[i]
-            j = bisect_left(nbrs, v, j)
-            if j == len(nbrs) or nbrs[j] != v:
-                return (u, v), best
-    raise AssertionError("unreachable: pass 1 found a pair with the minimum sum")
+    s, u, v = best
+    return (u, v), s
 
 
 def random_condition_graph(n: int, r: int, seed: int) -> LabelledGraph:
@@ -341,7 +320,7 @@ def random_condition_graph(n: int, r: int, seed: int) -> LabelledGraph:
     pairs, adding the edge wherever a non-adjacent pair falls below the
     bound.  Degrees only grow during the sweep, so a pair that meets the
     bound when visited still meets it at the end.  Deterministic in seed,
-    which follows ``_named_int``'s integer rule, like n and r.
+    which follows ``_named_int``'s integer rule, like n and r, and is at least 0.
     One ``bytearray`` row per vertex holds the graph in about n^2 bytes;
     ``_freeze_rows`` turns them into neighbour tuples.
     """
@@ -352,6 +331,8 @@ def random_condition_graph(n: int, r: int, seed: int) -> LabelledGraph:
         raise ValueError(f"need 4 <= n <= generator limit {MAX_GENERATED_N}, got {n}")
     if r < 2:
         raise ValueError("need r >= 2")
+    if seed < 0:  # Random(-s) repeats Random(s)
+        raise ValueError(f"need seed >= 0, got {seed}")
     need = ceil(degree_sum_threshold(n, r))  # an int sum is below the bound iff below this
     rng = random.Random(seed)
     p = rng.uniform(0.2, 0.8)

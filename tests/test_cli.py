@@ -240,6 +240,22 @@ class TestSolve:
         assert out == ""
         assert err.startswith("error: solver invariant:")
 
+    def test_stall_with_an_invalid_witness_exits_3(self, capsys, g1_file, monkeypatch):
+        # the real stall exits 1; a witness that claims to contradict the bound is a solver bug
+        solve = degspan.cli.find_spanning_tree
+
+        def forged(g, seq):
+            result = solve(g, seq)
+            w = result.witness
+            return result._replace(witness=w._replace(contradicts_condition=True))
+
+        monkeypatch.setattr(degspan.cli, "find_spanning_tree", forged)
+        code, out, err = run_cli(capsys, "solve", "--graph", g1_file, "--seq", "3,3,1,1,1,1")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: solver invariant: solver emitted a witness that fails validate_witness\n"
+        )
+
     def test_seq_from_file(self, capsys, k4_file, tmp_path):
         seq_path = tmp_path / "seq.txt"
         seq_path.write_text("2,2,1,1\n")

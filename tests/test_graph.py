@@ -730,6 +730,36 @@ class TestMinNonadjacentSum:
             )
             assert min_nonadjacent_degree_sum(g) == brute_min_pair(g)
 
+    @pytest.mark.parametrize("host", [
+        complete_graph,
+        lambda n: complement_of(n, [(i, n - 1 - i) for i in range(n // 2)]),
+        lambda n: complement_of(n, [(i, i + 1) for i in range(n - 1)]),
+        lambda n: random_condition_graph(n, 3, 1),
+        lambda n: random_condition_graph(n, 6, 2),
+    ], ids=["complete", "matching-complement", "path-complement", "condition-r3", "condition-r6"])
+    def test_at_most_two_row_tests_per_vertex(self, host, monkeypatch):
+        # each stop rule bounds the pass: without the degree n - 1 stop K_n costs n^2 row
+        # tests, and without the tie stop the matching complement does
+        n = 300
+        g = host(n)
+        expected, tests = brute_min_pair(g), []
+
+        def counting_row_has(row, v):
+            tests.append(v)
+            return _row_has(row, v)
+
+        monkeypatch.setattr(degspan.graph, "_row_has", counting_row_has)
+        assert min_nonadjacent_degree_sum(g) == expected
+        assert len(tests) <= 2 * n
+
+
+def complement_of(n, missing):
+    """The complete graph on n vertices without the given pairs."""
+    missing = {normalized_edge(u, v) for u, v in missing}
+    return LabelledGraph.from_edges(
+        n, (p for p in itertools.combinations(range(n), 2) if p not in missing)
+    )
+
 
 class TestRandomConditionGraph:
     def test_deterministic_in_seed(self):
@@ -744,6 +774,12 @@ class TestRandomConditionGraph:
             with pytest.raises(ValueError, match=message):
                 random_condition_graph(12, 3, seed)
         assert random_condition_graph(12, 3, 7.0) == random_condition_graph(12, 3, seed=7)
+
+    def test_negative_seed_is_refused(self):
+        # Random(-7) seeds as Random(7), so a negative seed would only repeat a graph
+        with pytest.raises(ValueError, match=r"^need seed >= 0, got -7$"):
+            random_condition_graph(12, 3, -7)
+        assert random_condition_graph(12, 3, 0).n == 12
 
     def test_different_seeds_usually_differ(self):
         outputs = {random_condition_graph(15, 3, seed=s).edges for s in range(6)}
