@@ -7,8 +7,9 @@ visits every such tree exactly once.  Containment in a host graph is
 then a per-edge check as the word decodes, aborted at the first missing
 edge.  The walk runs ``prufer_edges``' smallest-leaf decode inline, on
 one degree list per word, and tests each edge as it forms by bisection
-in the graph's own ascending adjacency rows, so a word costs no
-generator or decoder set-up.
+in the graph's own ascending adjacency rows, then steps to the next
+word in place by Knuth's Algorithm L (TAOCP 4A, 7.2.1.2), so a word
+costs no Python call and no generator or decoder set-up.
 """
 
 from bisect import bisect_left
@@ -58,35 +59,23 @@ def count_trees(seq: DegreeSequence) -> int:
     return perm(seq.n - 2, seq.n - 1 - top) // prod(factorial(d - 1) for d in rest)
 
 
-def _next_permutation(a: list[int]) -> bool:
-    """Advance to the lexicographic successor in place; False at the last."""
-    i = len(a) - 2
-    while i >= 0 and a[i] >= a[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = len(a) - 1
-    while a[j] <= a[i]:
-        j -= 1
-    a[i], a[j] = a[j], a[i]
-    a[i + 1 :] = reversed(a[i + 1 :])
-    return True
-
-
 def _contained_trees(g: LabelledGraph, seq: DegreeSequence, budget: int) -> Iterator[list[int]]:
     """Code words of the trees with this degree vector that lie inside g.
 
-    Checks the instance and ``budget``, an integer by ``_named_int``'s rule,
-    before decoding any word, then walks the words in lexicographic order,
-    stops decoding each at its first edge missing from g, and yields each
-    contained word.  The yielded list is the walk's own, so it holds that
-    word only until the walk resumes.  The log of ``count_trees(seq)``,
+    Checks ``budget``, a non-negative integer by ``_named_int``'s rule, and
+    the instance before decoding any word, then walks the words in
+    lexicographic order, stops decoding each at its first edge missing
+    from g, yields each contained word, and returns after the last word,
+    the canonical one reversed.  The yielded list is the walk's own, so it
+    holds that word only until the walk resumes.  The log of ``count_trees(seq)``,
     lgamma(n - 1) - sum(lgamma(d_i)), is off by far less than 1, so an
     estimate over log(budget) + 1 is refused without the exact count: its
     factorials take seconds at large n, and it may have too many digits to
     print.  Otherwise the exact count decides.
     """
     n, degrees, budget = seq.n, seq.degrees, _named_int("budget", budget)
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
     if g.n != n:
         raise ValueError(f"graph order {g.n} != sequence length {n}")
     log_total = lgamma(n - 1) - fsum(map(lgamma, degrees))
@@ -96,8 +85,8 @@ def _contained_trees(g: LabelledGraph, seq: DegreeSequence, budget: int) -> Iter
     adjacency = g.adjacency
     first, last = degrees.index(1), n - 1
     word = list(canonical_word(seq))
-    more = True
-    while more:
+    end = len(word) - 1
+    while True:
         # prufer_edges' decode, inline; it names only vertices in [0, n), so no bounds check.
         degree = list(degrees)
         leaf = nxt = first
@@ -116,7 +105,17 @@ def _contained_trees(g: LabelledGraph, seq: DegreeSequence, budget: int) -> Iter
             i = bisect_left(row, last)
             if i < len(row) and row[i] == last:
                 yield word
-        more = _next_permutation(word)
+        # Algorithm L: the pivot is the last ascent, swapped with the last entry above it.
+        i = end - 1
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = end
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1 :] = word[:i:-1]
 
 
 def oracle_find(

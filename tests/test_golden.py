@@ -69,10 +69,17 @@ CASES: dict[str, list[str]] = {
     "oracle-count-over-budget": [
         "oracle-count", "--graph", HOST, "--seq", HOST_SEQ, "--budget", "100",
     ],
+    # a negative budget is a usage error, not a request that is over every budget
+    "oracle-count-negative-budget": [
+        "oracle-count", "--graph", HOST, "--seq", HOST_SEQ, "--budget", "-1",
+    ],
     "extremal-plain": ["extremal", "--k", "1"],
     "extremal-verify": ["extremal", "--k", "2", "--r", "3", "--verify"],
     "extremal-verify-over-budget": [
         "extremal", "--k", "3", "--r", "3", "--verify", "--budget", "10",
+    ],
+    "extremal-verify-negative-budget": [
+        "extremal", "--k", "1", "--r", "3", "--verify", "--budget", "-1",
     ],
     "extremal-k0": ["extremal", "--k", "0"],
     "extremal-oversized": ["extremal", "--k", "500"],  # order 2002 > MAX_GENERATED_N

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -156,6 +157,12 @@ class TestOracleFind:
             oracle_count(complete_graph(6), seq, budget=0)
 
     @pytest.mark.parametrize("oracle", [oracle_find, oracle_count])
+    def test_negative_budget_is_refused(self, oracle):
+        seq = validate_degree_sequence([2, 2, 2, 2, 1, 1])
+        with pytest.raises(ValueError, match=r"^need budget >= 0, got -1$"):
+            oracle(complete_graph(6), seq, budget=-1)
+
+    @pytest.mark.parametrize("oracle", [oracle_find, oracle_count])
     @pytest.mark.parametrize("budget", [None, 2.5, "24", float("nan")])
     def test_budget_follows_the_integer_rule(self, oracle, budget):
         seq = validate_degree_sequence([2, 2, 2, 2, 1, 1])
@@ -259,6 +266,37 @@ class TestOracleHotPath:
         for g, seq, contained in cases:
             assert oracle_count(g, seq) == len(contained)
             assert oracle_find(g, seq) == (contained[0] if contained else None)
+
+
+    def test_walk_makes_no_python_call_per_word(self):
+        """A profile hook counts Python-level calls over 2,520 words, none contained."""
+        g, seq = build_extremal(2, 3)
+        assert count_trees(seq) == 2520
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            contained = oracle_count(g, seq)
+        finally:
+            sys.setprofile(None)
+        assert contained == 0
+        assert calls[0] < 50
+
+
+class TestOracleWalkOrder:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_complete_graph_yields_every_word_in_order(self, n):
+        g = complete_graph(n)
+        for degrees in all_degree_sequences(n, n - 1):
+            seq = validate_degree_sequence(degrees)
+            # copy each word: the yielded list is the walk's own
+            walk = degspan.oracle._contained_trees(g, seq, count_trees(seq))
+            walked = [tuple(word) for word in walk]
+            assert walked == sorted(set(itertools.permutations(canonical_word(seq))))
 
 
 class TestOracleStopsAtFirstMissingEdge:
