@@ -62,7 +62,13 @@ def _named_int(name: str, x: Any) -> int:
 
 
 def _row_has(row: tuple[int, ...], v: int) -> bool:
-    """True iff v is in the ascending row ``row``; every row lookup but the oracle's walk."""
+    """True iff v is in the ascending row ``row``.
+
+    Every row lookup goes through it but those of the loops that test each
+    edge of a tree or a word, which bisect inline with no call per edge: the
+    solver's start decode and hook test (``_exchange``), ``foreign_edges``'
+    two-row test, ``tree_defect``'s mirror test and the oracle's walk.
+    """
     i = bisect_left(row, v)
     return i < len(row) and row[i] == v
 
@@ -146,7 +152,7 @@ class LabelledGraph(NamedTuple):
         return len(self.adjacency[self._vertex(v)])
 
     def degree_vector(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adjacency)
+        return tuple(map(len, self.adjacency))
 
     def are_adjacent(self, u: int, v: int) -> bool:
         """True iff {u, v} is an edge; always False for u == v.  Reads u, then v, as ``degree``."""

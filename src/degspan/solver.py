@@ -34,11 +34,18 @@ that ``build_witness(g, t, f)`` counts with ``_select`` on each side.
 ``validate_witness`` splits the stored tree the same way and compares the
 witness it rebuilds there; only the loop chooses an exchange.
 
+The loops that run once per tree edge, the start's decode, ``_exchange``'s
+hook test and ``foreign_edges``, test each edge by an inline bisection of
+its graph row, so a solve and its ``verify_tree`` make no Python call per
+tree edge; ``_row_has`` serves the loop's four checks per exchange, the
+witness and the step layer.
+
 ``orient_forest``, ``compute_cut_sets``, ``apply_exchange`` and
 ``CutAnalysis``, at the end of the module and outside ``__all__``, are
 kept only for the tests and ``bench/tracing.py``; no code here calls them.
 """
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from typing import Any, NamedTuple
 
@@ -200,9 +207,9 @@ def foreign_edges(g: LabelledGraph, t: LabelledTree) -> tuple[Edge, ...]:
     """Tree edges absent from the graph, ascending (phi); reads ``t.adjacency`` with u < v.
 
     A tree edge (u, v) is present only when both graph rows list it, each
-    found by bisection, so rows that do not mirror each other cannot
-    vouch for an edge.  A tree edge at a vertex past the graph's order
-    raises IndexError.
+    found by an inline bisection, so rows that do not mirror each other
+    cannot vouch for an edge.  A tree edge at a vertex past the graph's
+    order raises IndexError.
     """
     out: list[Edge] = []
     rows = g.adjacency
@@ -210,7 +217,13 @@ def foreign_edges(g: LabelledGraph, t: LabelledTree) -> tuple[Edge, ...]:
         if nbrs:
             row = rows[u]
             for v in nbrs:
-                if u < v and not (_row_has(row, v) and _row_has(rows[v], u)):
+                if u < v:
+                    i = bisect_left(row, v)
+                    if i < len(row) and row[i] == v:
+                        back = rows[v]
+                        i = bisect_left(back, u)
+                        if i < len(back) and back[i] == u:
+                            continue
                     out.append((u, v))
     return tuple(out)
 
@@ -275,13 +288,16 @@ def _exchange(
     exchange drops (w, y) for the smallest such y.  Only the loop calls it.
     """
     near_row, inside = g.adjacency[near], label[near] == tag
+    size = len(near_row)
     for w in g.adjacency[far]:
         if (label[w] == tag) != inside:
             continue
         y = -1
         for c in adj[w]:
-            if parent[c] == w and (y < 0 or c < y) and _row_has(near_row, c):
-                y = c
+            if parent[c] == w and (y < 0 or c < y):
+                i = bisect_left(near_row, c)
+                if i < size and near_row[i] == c:
+                    y = c
         if y >= 0:
             return Exchange(side="u" if near < far else "v",
                             drop_foreign=normalized_edge(near, far),
@@ -316,7 +332,7 @@ def _rewire(adj: list[list[int]], x: Exchange) -> None:
 
 def _tree_of(adj: list[list[int]]) -> LabelledTree:
     """Freeze the solver's tree adjacency, which its invariant checks keep simple."""
-    return LabelledTree(tuple(tuple(sorted(a)) for a in adj))
+    return LabelledTree(tuple(map(tuple, map(sorted, adj))))
 
 
 def _witness_chain(
@@ -457,7 +473,9 @@ def find_spanning_tree(g: LabelledGraph, seq: DegreeSequence) -> SolveResult:
         adj[a].append(b)
         adj[b].append(a)
         parent[a] = b
-        if not _row_has(rows[a], b):
+        row = rows[a]
+        i = bisect_left(row, b)
+        if i == len(row) or row[i] != b:
             missing.append(normalized_edge(a, b))
     missing.sort()
     steps: list[ExchangeStep] = []

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import os
 import random
+import sys
+from bisect import insort
 from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from hypothesis import strategies as st
 
+import degspan
 from degspan import (
     DegreeSequence,
     LabelledGraph,
@@ -29,6 +33,37 @@ from degspan.solver import (
     build_witness,
 )
 from degspan.tree import tree_defect
+
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(degspan.__file__)) + os.sep
+
+
+def count_lines(fn: Callable[..., object], *args: object) -> tuple[object, int]:
+    """``fn(*args)`` and the ``line`` events it runs in frames whose code lives in degspan.
+
+    A ``sys.settrace`` hook counts the library's Python lines only, so the
+    count is exact and repeats on every run, but C-level work inside a
+    line (``bisect``, ``sorted``, set algebra) is not seen.  Any hook set
+    before the call is restored after it.
+    """
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(_PACKAGE_DIR) else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return result, lines
 
 
 def complete_graph(n: int) -> LabelledGraph:
@@ -289,6 +324,91 @@ def graphs(draw, min_n: int = 2, max_n: int = 9) -> LabelledGraph:
     pairs = list(itertools.combinations(range(n), 2))
     mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return LabelledGraph.from_edges(n, (p for p, keep in zip(pairs, mask) if keep))
+
+
+def reference_is_tree(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether rows are a spanning tree on their n >= 1 vertices, with no union-find.
+
+    They must hold 2(n - 1) entries, each row strictly ascending and in
+    range with no self-loop, every entry listed back by its vertex, and a
+    breadth-first search from 0 must reach every vertex.
+    """
+    n = len(rows)
+    if sum(map(len, rows)) != 2 * (n - 1):
+        return False
+    for u, row in enumerate(rows):
+        if any(not 0 <= v < n or v == u for v in row):
+            return False
+        if any(a >= b for a, b in zip(row, row[1:])):
+            return False
+    listed = {(u, v) for u, row in enumerate(rows) for v in row}
+    if any((v, u) not in listed for u, v in listed):
+        return False
+    seen, queue = {0}, deque([0])
+    while queue:
+        for y in rows[queue.popleft()]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return len(seen) == n
+
+
+@st.composite
+def claimed_tree_rows(draw, max_n: int = 7) -> tuple[tuple[int, ...], ...]:
+    """Rows a claimed tree may hold: small arbitrary tuples, or a decoded tree's, often edited.
+
+    One draw in four is arbitrary rows, with entries in [-1, n].  Else a
+    decoded tree, in half the draws with one edge traded for another pair,
+    so that its rows still mirror but may hold a cycle, takes up to two
+    edits of its rows, each of which drops, adds, moves, swaps or
+    replaces an entry, so rows can descend, repeat an entry, hold a
+    self-loop or an out-of-range vertex, or list an edge on one side only;
+    moves, swaps and replacements keep the entry count, so the later checks
+    are reached.
+    """
+    n = draw(st.integers(1, max_n))
+    if draw(st.integers(0, 3)) == 0:
+        entries = st.lists(st.integers(-1, n), max_size=3)
+        return tuple(tuple(draw(entries)) for _ in range(n))
+    if n == 1:
+        rows: list[list[int]] = [[]]
+    else:
+        word = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+        edges = list(decode(word, n).edges)
+        if draw(st.booleans()):  # one edge traded for another pair: a cycle off a component
+            edges.pop(draw(st.integers(0, n - 2)))
+            a = draw(st.integers(0, n - 1))
+            edges.append((a, draw(st.integers(0, n - 1).filter(lambda b: b != a))))
+        rows = [list(row) for row in LabelledGraph.from_edges(n, edges).adjacency]
+    for _ in range(draw(st.integers(0, 2))):
+        u = draw(st.integers(0, n - 1))
+        row, op = rows[u], draw(st.sampled_from(["drop", "add", "move", "swap", "replace"]))
+        value = draw(st.integers(-1, n))
+        if op == "add":
+            insort(row, value)
+        elif op == "swap" and len(row) >= 2:
+            i = draw(st.integers(0, len(row) - 2))
+            row[i], row[i + 1] = row[i + 1], row[i]
+        elif row and op != "swap":
+            x = row.pop(draw(st.integers(0, len(row) - 1)))
+            if op == "move":
+                insort(rows[draw(st.integers(0, n - 1))], x)
+            elif op == "replace":
+                insort(row, value)
+    return tuple(map(tuple, rows))
+
+
+@st.composite
+def graphs_with_one_sided_entry(draw, max_n: int = 9) -> LabelledGraph:
+    """A simple graph whose rows stop mirroring: one row gains or loses one in-range entry."""
+    rows = [list(row) for row in draw(graphs(min_n=2, max_n=max_n)).adjacency]
+    n = len(rows)
+    u, v = draw(st.sampled_from([(u, v) for u in range(n) for v in range(n) if u != v]))
+    if v in rows[u]:
+        rows[u].remove(v)
+    else:
+        insort(rows[u], v)
+    return LabelledGraph(tuple(map(tuple, rows)))
 
 
 @st.composite

@@ -1,5 +1,7 @@
+import collections
 import itertools
 import random
+import sys
 from typing import ForwardRef
 
 import pytest
@@ -42,18 +44,21 @@ from degspan.solver import (
 )
 from degspan.tree import tree_defect
 from support import (
+    claimed_tree_rows,
     complete_graph,
     cycle_graph,
     decode,
     dense_host,
     graph_with_sequence,
     graphs,
+    graphs_with_one_sided_entry,
     low_degree_sequence,
     matchings,
     path_graph,
     prufer_words,
     reference_exchange,
     reference_find_spanning_tree,
+    reference_is_tree,
     reference_rewire,
     reference_split,
 )
@@ -685,6 +690,42 @@ def _counted_splits(monkeypatch, instances):
     return out
 
 
+class TestSolverHotPath:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [120, 480])
+    def test_tree_edges_are_tested_with_no_python_call(self, n, seed):
+        """A profile hook counts the Python calls of a found solve and its verification.
+
+        Only the loop's two root-bridge guards and two added-edge checks per
+        exchange call ``_row_has``; the start, the hook test, the foreign-edge
+        scan and the tree check bisect each tree edge inline, and the tree
+        check climbs its union-find inline.  What remains per vertex is the
+        start's decode generator.
+        """
+        g = random_condition_graph(n, 3, seed)
+        seq = random_degree_sequence(n, 3, random.Random(seed))
+        calls = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            res = find_spanning_tree(g, seq)
+            out = verify_tree(g, res.tree, seq)
+        finally:
+            sys.setprofile(None)
+        exchanges = len(res.steps)
+        assert out.ok and exchanges > 0
+        assert calls["_row_has"] == 4 * exchanges
+        assert calls["find"] == 0
+        # per exchange: four _row_has, three normalized_edge (one at the start, per missing
+        # edge), two record constructors, _rewire, and one or two each of _exchange and
+        # _reroot: 12.6-12.9 here on Python 3.10-3.13; a call per tree edge adds n - 1
+        assert calls.total() <= n + 13 * exchanges + 30
+
+
 class TestGuarantee:
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_randomized_guarantee(self, r):
@@ -1014,6 +1055,21 @@ class TestVerifyTree:
     def test_rows_that_are_no_simple_graph_are_rejected(self, rows, reason):
         assert tree_defect(LabelledTree(rows)) == reason
 
+    @given(claimed_tree_rows())
+    @settings(max_examples=500, deadline=None)
+    def test_tree_defect_agrees_with_a_search_reference(self, rows):
+        assert (tree_defect(LabelledTree(rows)) is None) == reference_is_tree(rows)
+
+    def test_tree_defect_agrees_with_a_search_reference_on_every_graph_of_n_minus_1_edges(self):
+        # all 3,237 up to n = 6; a union-find that loses a link lets some cycle through
+        for n in range(2, 7):
+            pairs = itertools.combinations(range(n), 2)
+            rows = [LabelledGraph.from_edges(n, edges).adjacency
+                    for edges in itertools.combinations(pairs, n - 1)]
+            assert sum(map(reference_is_tree, rows)) == n ** (n - 2)  # Cayley's formula
+            for r in rows:
+                assert (tree_defect(LabelledTree(r)) is None) == reference_is_tree(r)
+
 
 class TestForeignEdges:
     def test_tree_edge_past_the_graph_order_raises_index_error(self):
@@ -1046,6 +1102,14 @@ class TestForeignEdges:
                 foreign_edges(g, t)
         else:
             assert foreign_edges(g, t) == expected
+
+    @given(graphs_with_one_sided_entry(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_both_rows_reference_on_rows_that_do_not_mirror(self, g, data):
+        t = LabelledTree(data.draw(graphs(min_n=g.n, max_n=g.n)).adjacency)
+        listed = {(u, v) for u, row in enumerate(g.adjacency) for v in row}
+        expected = tuple(e for e in t.edges if e not in listed or e[::-1] not in listed)
+        assert foreign_edges(g, t) == expected
 
 
 class TestTreeContainer:
