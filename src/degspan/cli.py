@@ -5,6 +5,7 @@ import functools
 import json
 import random
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -254,55 +255,41 @@ def _int(text: str) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="degspan",
-        description="Spanning trees with an exact prescribed degree sequence.",
-    )
+        prog="degspan", description="Spanning trees with an exact prescribed degree sequence.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="find a spanning tree with the given degree sequence")
-    solve.add_argument("--graph", required=True, help="graph file path")
-    solve.add_argument("--seq", required=True, help="degree literal '3,1,1,1' or @FILE")
-    solve.set_defaults(func=_cmd_solve)
+    # each option that several subcommands take is declared once, in its own parent
+    graph, seq, budget, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    graph.add_argument("--graph", required=True, help="graph file path")
+    seq.add_argument("--seq", required=True, help="degree literal '3,1,1,1' or @FILE")
+    budget.add_argument("--budget", type=_int, default=DEFAULT_BUDGET)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
 
-    check = sub.add_parser("check", help="evaluate the degree-sum condition")
-    check.add_argument("--graph", required=True, help="graph file path")
+    def command(name: str, func: Callable[[argparse.Namespace], Report], summary: str,
+                *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=summary, parents=[*parents, fmt])
+        sp.set_defaults(func=func)
+        return sp
+
+    command("solve", _cmd_solve, "find a spanning tree with the given degree sequence", graph, seq)
+    check = command("check", _cmd_check, "evaluate the degree-sum condition", graph)
     check.add_argument("--r", type=_int, required=True, help="degree cap parameter (>= 2)")
-    check.set_defaults(func=_cmd_check)
-
-    realize = sub.add_parser("realize", help="canonical tree for a degree sequence")
-    realize.add_argument("--seq", required=True, help="degree literal or @FILE")
-    realize.set_defaults(func=_cmd_realize)
-
-    ofind = sub.add_parser("oracle-find", help="exhaustive search for a contained tree")
-    ofind.add_argument("--graph", required=True)
-    ofind.add_argument("--seq", required=True)
-    ofind.add_argument("--budget", type=_int, default=DEFAULT_BUDGET)
-    ofind.set_defaults(func=_cmd_oracle_find)
-
-    ocount = sub.add_parser("oracle-count", help="exhaustive count of contained trees")
-    ocount.add_argument("--graph", required=True)
-    ocount.add_argument("--seq", required=True)
-    ocount.add_argument("--budget", type=_int, default=DEFAULT_BUDGET)
-    ocount.set_defaults(func=_cmd_oracle_count)
-
-    extremal = sub.add_parser("extremal", help="emit a tight example family member")
+    command("realize", _cmd_realize, "canonical tree for a degree sequence", seq)
+    command("oracle-find", _cmd_oracle_find, "exhaustive search for a contained tree",
+            graph, seq, budget)
+    command("oracle-count", _cmd_oracle_count, "exhaustive count of contained trees",
+            graph, seq, budget)
+    extremal = command("extremal", _cmd_extremal, "emit a tight example family member", budget)
     extremal.add_argument("--k", type=_int, required=True, help="group size (>= 1)")
     extremal.add_argument("--r", type=_int, default=3, help="degree cap (>= 3, default 3)")
     extremal.add_argument("--verify", action="store_true", help="run the tightness checks")
-    extremal.add_argument("--budget", type=_int, default=DEFAULT_BUDGET)
-    extremal.set_defaults(func=_cmd_extremal)
-
-    batch = sub.add_parser("batch", help="randomized solve/verify ensemble")
+    batch = command("batch", _cmd_batch, "randomized solve/verify ensemble")
     batch.add_argument("--n-min", type=_int, required=True)
     batch.add_argument("--n-max", type=_int, required=True)
     batch.add_argument("--r", type=_int, default=3)
     batch.add_argument("--count", type=_int, required=True, help="number of instances")
     batch.add_argument("--seed", type=_int, default=0)
     batch.add_argument("--verbose", action="store_true")
-    batch.set_defaults(func=_cmd_batch)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 

@@ -62,13 +62,7 @@ def _named_int(name: str, x: Any) -> int:
 
 
 def _row_has(row: tuple[int, ...], v: int) -> bool:
-    """True iff v is in the ascending row ``row``.
-
-    Every row lookup goes through it but those of the loops that test each
-    edge of a tree or a word, which bisect inline with no call per edge: the
-    solver's start decode and hook test (``_exchange``), ``foreign_edges``'
-    two-row test, ``tree_defect``'s mirror test and the oracle's walk.
-    """
+    """True iff v is in the ascending row ``row``, found by one bisection."""
     i = bisect_left(row, v)
     return i < len(row) and row[i] == v
 

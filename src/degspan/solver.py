@@ -547,9 +547,10 @@ def verify_tree(g: LabelledGraph, t: LabelledTree, seq: DegreeSequence) -> Verif
     if defect is not None:
         return VerifyResult(False, defect)
     deg = t.degree_vector()
-    for i, (have, want) in enumerate(zip(deg, seq.degrees)):
-        if have != want:
-            return VerifyResult(False, f"degree mismatch at vertex {i}: {have} != {want}")
+    if deg != tuple(seq.degrees):  # one C-level compare; walk only to name the first mismatch
+        for i, (have, want) in enumerate(zip(deg, seq.degrees)):
+            if have != want:
+                return VerifyResult(False, f"degree mismatch at vertex {i}: {have} != {want}")
     return VerifyResult(True)
 
 

@@ -179,6 +179,42 @@ INTEGER_OPTIONS = [
     (["batch", "--n-min", "5", "--n-max", "6", "--count", "1"], "--seed"),
 ]
 
+_INT = degspan.cli._int
+_BUDGET = ("--budget", False, degspan.oracle.DEFAULT_BUDGET, _INT, None)
+_FORMAT = ("--format", False, "text", None, ("text", "json"))
+_GRAPH = ("--graph", True, None, None, None)
+_SEQ = ("--seq", True, None, None, None)
+PARSER_OPTIONS = {
+    # subcommand: (handler, {dest: (flag, required, default, type, choices)})
+    "solve": ("_cmd_solve", {"graph": _GRAPH, "seq": _SEQ, "format": _FORMAT}),
+    "check": ("_cmd_check", {
+        "graph": _GRAPH, "r": ("--r", True, None, _INT, None), "format": _FORMAT,
+    }),
+    "realize": ("_cmd_realize", {"seq": _SEQ, "format": _FORMAT}),
+    "oracle-find": ("_cmd_oracle_find", {
+        "graph": _GRAPH, "seq": _SEQ, "budget": _BUDGET, "format": _FORMAT,
+    }),
+    "oracle-count": ("_cmd_oracle_count", {
+        "graph": _GRAPH, "seq": _SEQ, "budget": _BUDGET, "format": _FORMAT,
+    }),
+    "extremal": ("_cmd_extremal", {
+        "k": ("--k", True, None, _INT, None),
+        "r": ("--r", False, 3, _INT, None),
+        "verify": ("--verify", False, False, None, None),
+        "budget": _BUDGET,
+        "format": _FORMAT,
+    }),
+    "batch": ("_cmd_batch", {
+        "n_min": ("--n-min", True, None, _INT, None),
+        "n_max": ("--n-max", True, None, _INT, None),
+        "r": ("--r", False, 3, _INT, None),
+        "count": ("--count", True, None, _INT, None),
+        "seed": ("--seed", False, 0, _INT, None),
+        "verbose": ("--verbose", False, False, None, None),
+        "format": _FORMAT,
+    }),
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -560,6 +596,19 @@ class TestUsage:
         )
         assert (code, err) == (0, "")
         assert out.startswith("instances: 1 solved: 1 verified: 1")
+
+    def test_every_subcommand_declares_its_options_as_tabled(self):
+        parser = degspan.cli._build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(PARSER_OPTIONS)
+        for command, sp in sub.choices.items():
+            handler, options = PARSER_OPTIONS[command]
+            assert sp.get_default("func") is getattr(degspan.cli, handler), command
+            declared = {
+                a.dest: (*a.option_strings, a.required, a.default, a.type, a.choices)
+                for a in sp._actions if not isinstance(a, argparse._HelpAction)
+            }
+            assert declared == options, command
 
     def test_parser_is_built_once(self, capsys, monkeypatch):
         built = []

@@ -998,6 +998,13 @@ class TestVerifyTree:
         assert not out
         assert "vertex 0" in out.reason
 
+    def test_degrees_held_as_a_list_verify_and_name_the_first_mismatch(self):
+        g = complete_graph(4)
+        t = LabelledTree.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        assert verify_tree(g, t, DegreeSequence([3, 1, 1, 1]))
+        out = verify_tree(g, t, DegreeSequence([1, 1, 3, 1]))
+        assert out.reason == "degree mismatch at vertex 0: 3 != 1"
+
     def test_cycle_rejected(self):
         g = complete_graph(4)
         t = LabelledTree.from_edges(4, [(0, 1), (1, 2), (0, 2)])
