@@ -10,7 +10,12 @@ reports the counting state that blocked it.  An exhaustive enumeration
 oracle and generators for boundary example families support verification.
 """
 
-from .condition import ConditionReport, check_condition, degree_sum_threshold
+from .condition import (
+    ConditionReport,
+    check_condition,
+    degree_sum_threshold,
+    random_condition_graph,
+)
 from .extremal import build_extremal, extremal_order, extremal_worst_sum
 from .graph import (
     Edge,
@@ -18,7 +23,6 @@ from .graph import (
     LabelledGraph,
     min_nonadjacent_degree_sum,
     parse_graph,
-    random_condition_graph,
     serialize_graph,
 )
 from .oracle import (

@@ -10,12 +10,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, NamedTuple
 
-from .condition import check_condition
+from .condition import check_condition, random_condition_graph
 from .extremal import build_extremal, extremal_worst_sum
-from .graph import (
-    MAX_GENERATED_N, LabelledGraph, _named_int, parse_graph, random_condition_graph,
-    serialize_graph,
-)
+from .graph import MAX_GENERATED_N, LabelledGraph, _named_int, parse_graph, serialize_graph
 from .oracle import DEFAULT_BUDGET, OracleBudgetError, count_trees, oracle_count, oracle_find
 from .sequences import DegreeSequence, parse_sequence_literal, random_degree_sequence, realize_tree
 from .solver import SolverInvariantError, find_spanning_tree, validate_witness, verify_tree

@@ -1,4 +1,4 @@
-"""Exact degree-sum thresholds and whole-graph condition checks.
+"""Exact degree-sum thresholds, whole-graph condition checks, and random graphs that meet them.
 
 For a degree cap r >= 2 and order n >= r + 1 the bound is the rational
 ((2r-3)n - (2r-5)) / (r-1); with r = 3 this is (3n-1)/2.  A graph meets
@@ -7,12 +7,16 @@ least the bound.  All comparisons are exact: the margins that matter are
 as small as 1/(r-1), which float arithmetic would blur.
 """
 
+import random
 from fractions import Fraction
+from math import ceil
 from typing import Any, NamedTuple
 
-from .graph import LabelledGraph, _named_int, min_nonadjacent_degree_sum
+from .graph import (
+    MAX_GENERATED_N, LabelledGraph, _freeze_rows, _named_int, min_nonadjacent_degree_sum,
+)
 
-__all__ = ["ConditionReport", "degree_sum_threshold", "check_condition"]
+__all__ = ["ConditionReport", "degree_sum_threshold", "check_condition", "random_condition_graph"]
 
 
 class ConditionReport(NamedTuple):
@@ -64,3 +68,39 @@ def check_condition(g: LabelledGraph, r: int) -> ConditionReport:
     return ConditionReport(
         n=g.n, r=r, threshold=bound, satisfied=s >= bound, worst_pair=(u, v, s)
     )
+
+
+def random_condition_graph(n: int, r: int, seed: int) -> LabelledGraph:
+    """Random graph whose non-adjacent pairs all meet the degree-sum bound for r.
+
+    Starts from a random graph, then makes one repair sweep over vertex
+    pairs, adding the edge wherever a non-adjacent pair falls below the
+    bound.  Degrees only grow during the sweep, so a pair that meets the
+    bound when visited still meets it at the end.  Deterministic in seed,
+    which follows ``_named_int``'s integer rule, like n and r, and is at least 0.
+    One ``bytearray`` row per vertex holds the graph in about n^2 bytes;
+    ``_freeze_rows`` turns them into neighbour tuples.
+    """
+    n, r, seed = _named_int("n", n), _named_int("r", r), _named_int("seed", seed)
+    if not 4 <= n <= MAX_GENERATED_N:
+        raise ValueError(f"need 4 <= n <= generator limit {MAX_GENERATED_N}, got {n}")
+    need = ceil(degree_sum_threshold(n, r))  # an int sum is below the bound iff below this
+    if seed < 0:  # Random(-s) repeats Random(s)
+        raise ValueError(f"need seed >= 0, got {seed}")
+    rng = random.Random(seed)
+    p = rng.uniform(0.2, 0.8)
+    rows = [bytearray(n) for _ in range(n)]
+    for u in range(n):
+        row = rows[u]
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                row[v] = rows[v][u] = 1
+    degree = [row.count(1) for row in rows]
+    for u in range(n):
+        row = rows[u]
+        for v in range(u + 1, n):
+            if not row[v] and degree[u] + degree[v] < need:
+                row[v] = rows[v][u] = 1
+                degree[u] += 1
+                degree[v] += 1
+    return LabelledGraph(_freeze_rows(rows))

@@ -1,10 +1,8 @@
-"""Labelled simple graphs: parsing, serialization, degree queries, random ensembles."""
+"""Labelled simple graphs: parsing, serialization, degree and degree-sum queries."""
 
-import random
 from bisect import bisect_left
 from collections.abc import Iterable
 from itertools import compress
-from math import ceil
 from typing import Any, NamedTuple
 
 Edge = tuple[int, int]
@@ -20,7 +18,6 @@ __all__ = [
     "min_nonadjacent_degree_sum",
     "normalized_edge",
     "bounded_int",
-    "random_condition_graph",
 ]
 
 
@@ -311,43 +308,3 @@ def min_nonadjacent_degree_sum(g: LabelledGraph) -> tuple[Edge, int] | None:
         return None
     s, u, v = best
     return (u, v), s
-
-
-def random_condition_graph(n: int, r: int, seed: int) -> LabelledGraph:
-    """Random graph whose non-adjacent pairs all meet the degree-sum bound for r.
-
-    Starts from a random graph, then makes one repair sweep over vertex
-    pairs, adding the edge wherever a non-adjacent pair falls below the
-    bound.  Degrees only grow during the sweep, so a pair that meets the
-    bound when visited still meets it at the end.  Deterministic in seed,
-    which follows ``_named_int``'s integer rule, like n and r, and is at least 0.
-    One ``bytearray`` row per vertex holds the graph in about n^2 bytes;
-    ``_freeze_rows`` turns them into neighbour tuples.
-    """
-    from .condition import degree_sum_threshold
-
-    n, r, seed = _named_int("n", n), _named_int("r", r), _named_int("seed", seed)
-    if not 4 <= n <= MAX_GENERATED_N:
-        raise ValueError(f"need 4 <= n <= generator limit {MAX_GENERATED_N}, got {n}")
-    if r < 2:
-        raise ValueError("need r >= 2")
-    if seed < 0:  # Random(-s) repeats Random(s)
-        raise ValueError(f"need seed >= 0, got {seed}")
-    need = ceil(degree_sum_threshold(n, r))  # an int sum is below the bound iff below this
-    rng = random.Random(seed)
-    p = rng.uniform(0.2, 0.8)
-    rows = [bytearray(n) for _ in range(n)]
-    for u in range(n):
-        row = rows[u]
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                row[v] = rows[v][u] = 1
-    degree = [row.count(1) for row in rows]
-    for u in range(n):
-        row = rows[u]
-        for v in range(u + 1, n):
-            if not row[v] and degree[u] + degree[v] < need:
-                row[v] = rows[v][u] = 1
-                degree[u] += 1
-                degree[v] += 1
-    return LabelledGraph(_freeze_rows(rows))

@@ -291,6 +291,46 @@ def all_degree_sequences(n: int, cap: int) -> Iterator[tuple[int, ...]]:
     yield from rec([], target, n)
 
 
+def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by fraction-free Bareiss elimination.
+
+    Each step divides exactly by the previous pivot, so every entry stays an
+    integer; a zero pivot is swapped with a lower row, which flips the sign.
+    The empty matrix has determinant 1.
+    """
+    a = [list(row) for row in matrix]
+    n = len(a)
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def weighted_tree_polynomial(g: LabelledGraph, x: Sequence[int]) -> int:
+    """Sum over g's spanning trees T of the product of x_i^deg_T(i), by the matrix-tree theorem.
+
+    Edge uv weighs x_u x_v, and Kirchhoff's theorem gives that sum as the
+    determinant of the weighted Laplacian with row and column 0 deleted.
+    It shares no code with Prüfer words, the oracle or the solver.
+    """
+    laplacian = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        w = x[u] * x[v]
+        laplacian[u][v] = laplacian[v][u] = -w
+        laplacian[u][u] += w
+        laplacian[v][v] += w
+    return bareiss_det([row[1:] for row in laplacian[1:]])
+
+
 def all_labelled_graphs(n: int) -> Iterator[LabelledGraph]:
     """All 2^C(n,2) labelled graphs on n vertices."""
     pairs = list(itertools.combinations(range(n), 2))

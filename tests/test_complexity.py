@@ -10,10 +10,11 @@ import random
 
 import degspan.graph
 from degspan import (
-    LabelledGraph, find_spanning_tree, min_nonadjacent_degree_sum, parse_graph,
-    random_condition_graph, random_degree_sequence, serialize_graph,
+    LabelledGraph, count_trees, find_spanning_tree, min_nonadjacent_degree_sum, oracle_count,
+    parse_graph, random_condition_graph, random_degree_sequence, serialize_graph,
+    validate_degree_sequence,
 )
-from support import count_lines, path_graph
+from support import complete_graph, count_lines, path_graph
 
 RUNGS = (125, 250, 500)
 SOLVE_SEEDS = (1, 2, 3)
@@ -111,3 +112,22 @@ def test_parse_lines_per_input_line_are_constant_line_by_line(monkeypatch):
     assert bounded == [1 + 2 * (n - 1) for n in sizes]
     assert max(ratios) <= PARSE_LOOP_LINES_PER_LINE, ratios
     assert ratios[-1] <= ratios[0], ratios
+
+
+ORACLE_SEQUENCES = ((3, 2, 2, 1, 1, 1), (3, 3, 2, 2, 1, 1, 1, 1), (3, 3, 3, 2, 2, 1, 1, 1, 1, 1))
+ORACLE_LINES_PER_WORD_PER_N = 16
+"""About twice the largest reading, 8.39 at n = 6 (Python 3.11.7)."""
+
+
+def test_oracle_lines_per_word_are_linear_in_n():
+    # on K_n every word decodes to its end, the most a word costs: n - 1
+    # edges tested, then Algorithm L's step to the next word
+    ratios = {}
+    for degrees in ORACLE_SEQUENCES:
+        seq = validate_degree_sequence(degrees)
+        n = seq.n
+        words, lines = count_lines(oracle_count, complete_graph(n), seq)
+        assert words == count_trees(seq)
+        ratios[n] = lines / words / n
+    assert max(ratios.values()) <= ORACLE_LINES_PER_WORD_PER_N, ratios
+    assert ratios[max(ratios)] <= ratios[min(ratios)], ratios

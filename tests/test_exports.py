@@ -1,7 +1,10 @@
-"""The package's exports: each listed name is defined once, and the step layer is unlisted."""
+"""The package's exports and imports: each listed name is defined once, the step layer
+is unlisted, and every module imports only the modules before it in one order."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import degspan
 import degspan.solver
@@ -29,3 +32,24 @@ def test_every_listed_name_is_defined_once_and_star_imports_work():
     assert not hasattr(degspan, "prufer_decode")
     assert not hasattr(degspan.sequences, "prufer_decode")
     assert not hasattr(degspan.DegreeSequence, "max_degree")
+
+
+# Each module may import only the modules before it, so the imports have no cycle;
+# the package's __init__ imports them all and comes last.
+LAYERS = (
+    "graph", "tree", "sequences", "condition", "extremal", "solver", "oracle", "cli", "__init__",
+)
+
+
+def test_each_module_imports_only_earlier_layers():
+    paths = sorted(Path(degspan.__file__).parent.glob("*.py"))
+    assert sorted(p.stem for p in paths) == sorted(LAYERS)
+    upward = []
+    for path in paths:
+        layer = LAYERS.index(path.stem)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                upward += [(path.stem, node.lineno, t) for t in targets
+                           if LAYERS.index(t) >= layer]
+    assert upward == []

@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import degspan
+from degspan import parse_graph
 from degspan.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,7 +54,9 @@ CASES: dict[str, list[str]] = {
     "check-r1": ["check", "--graph", HOST, "--r", "1"],
     "check-underscore-endpoint": ["check", "--graph", "{inputs}/underscore.txt", "--r", "3"],
     "check-oversized-count": ["check", "--graph", "{inputs}/oversized-count.txt", "--r", "3"],
-    # host9 with CRLF ends, comments and zero-padded endpoints: the same graph
+    # host9 with CRLF ends, comments and zero-padded endpoints: the same graph.  The CLI
+    # reads files with universal newlines, so parse_graph sees LF here; the CRLF ends
+    # reach it in test_padded_crlf_host_parses_as_host_from_its_raw_bytes
     "check-padded-crlf": ["check", "--graph", "{inputs}/host9-padded-crlf.txt", "--r", "3"],
     "check-nbsp-endpoint": ["check", "--graph", "{inputs}/nbsp-endpoint.txt", "--r", "3"],
     "realize-valid": ["realize", "--seq", "3,2,2,1,1,1"],
@@ -137,6 +140,12 @@ def test_golden_output(name, fmt, entry):
 def test_padded_crlf_host_reads_as_host(fmt):
     padded = golden_path("check-padded-crlf", fmt).read_bytes()
     assert padded == golden_path("check-satisfied", fmt).read_bytes()
+
+
+def test_padded_crlf_host_parses_as_host_from_its_raw_bytes():
+    raw = (INPUTS / "host9-padded-crlf.txt").read_bytes().decode("utf-8")
+    assert raw.count("\r\n") == raw.count("\n")
+    assert parse_graph(raw) == parse_graph((INPUTS / "host9.txt").read_text(encoding="utf-8"))
 
 
 def test_nbsp_endpoint_names_its_line():

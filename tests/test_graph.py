@@ -364,6 +364,18 @@ def hostile_graph_texts(draw):
     return "".join(row + end for row, end in zip(lines, ends))
 
 
+def lone_cr_k5(end):
+    """K_5 in serialize_graph's layout, each line ending in ``end`` but line 6, "1 \\r2\\n".
+
+    The lone carriage return breaks line 6, so it reads "1 ", not the edge
+    (1, 2), whether the other lines end in LF or in CRLF: a block folds
+    CRLF to LF only when that leaves no carriage return.
+    """
+    lines = [line + end for line in serialize_graph(complete_graph(5)).splitlines()]
+    lines[5] = "1 \r2\n"
+    return "".join(lines)
+
+
 def _parsed(parse, text):
     """The graph parse(text) returns, or the message and line of its GraphParseError."""
     try:
@@ -379,6 +391,8 @@ def _parsed(parse, text):
 @example("12\n7 1\n007 1\n# 7\n1 7\n7 1\n1\xa07\n")
 @example("9\r\n00 1\r\n0 1\x1f\x85 1  00 \x1c1\u30000\n")
 @example("# 0\r\r\n0 1\n")
+@example(lone_cr_k5("\n"))
+@example(lone_cr_k5("\r\n"))
 def test_parse_agrees_with_the_per_line_reference(text):
     assert _parsed(parse_graph, text) == _parsed(reference_parse_graph, text)
 
@@ -806,7 +820,7 @@ class TestRandomConditionGraph:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             random_condition_graph(3, 3, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need r >= 2, got 1$"):
             random_condition_graph(10, 1, seed=0)
 
     @pytest.mark.parametrize(
@@ -818,7 +832,6 @@ class TestRandomConditionGraph:
 
     def test_memory_stays_near_one_byte_per_vertex_pair(self):
         n = 600
-        random_condition_graph(4, 3, seed=0)  # imports the threshold outside the trace
         tracemalloc.start()
         try:
             g = random_condition_graph(n, 3, seed=1)

@@ -24,9 +24,11 @@ from degspan import (
 from support import (
     all_degree_sequences,
     all_labelled_graphs,
+    bareiss_det,
     complete_graph,
     graph_with_sequence,
     reference_prufer_edges,
+    weighted_tree_polynomial,
 )
 
 
@@ -244,6 +246,58 @@ class TestOracleReference:
             g = LabelledGraph.from_edges(n, pairs)
             for _ in range(3):
                 self.agree(g, random_degree_sequence(n, rng.randint(2, n - 1), rng))
+
+
+class TestMatrixTreeTheorem:
+    """Kirchhoff's weighted count equals the oracle's counts summed over every degree vector.
+
+    With edge uv weighing x_u x_v, the Laplacian minor's determinant is
+    the sum over d of oracle_count(g, d) times the product of x_i^d_i.  At
+    x = 1 both sides count g's spanning trees; at a random point in
+    [1, 2^31]^n a wrong count survives with probability at most
+    (2n - 2) / 2^31 (Schwartz-Zippel).
+    """
+
+    @staticmethod
+    def agree(g, points):
+        counts = [
+            (degrees, oracle_count(g, validate_degree_sequence(degrees)))
+            for degrees in all_degree_sequences(g.n, g.n - 1)
+        ]
+        for x in points:
+            weighted = sum(c * math.prod(map(pow, x, d)) for d, c in counts)
+            assert weighted_tree_polynomial(g, x) == weighted, (g, x)
+
+    @staticmethod
+    def random_point(n, rng):
+        return [rng.randint(1, 2**31) for _ in range(n)]
+
+    def test_bareiss_det_agrees_with_the_permutation_expansion(self):
+        # sparse entries, so zero pivots and the row swaps they force are common
+        rng = random.Random(21)
+        for _ in range(300):
+            n = rng.randint(0, 5)
+            a = [[rng.choice([0, 0, 0, 1, -2, 3]) for _ in range(n)] for _ in range(n)]
+            expansion = sum(
+                (-1) ** sum(p[i] > p[j] for i, j in itertools.combinations(range(n), 2))
+                * math.prod(a[i][p[i]] for i in range(n))
+                for p in itertools.permutations(range(n))
+            )
+            assert bareiss_det(a) == expansion, a
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_graph(self, n):
+        rng = random.Random(n)
+        for g in all_labelled_graphs(n):
+            self.agree(g, [[1] * n, self.random_point(n, rng)])
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_seeded_random_graphs(self, n):
+        rng = random.Random(n)
+        for _ in range(2):
+            pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]
+            g = LabelledGraph.from_edges(n, pairs)
+            self.agree(g, [[1] * n, self.random_point(n, rng), self.random_point(n, rng)])
 
 
 class TestOracleHotPath:
